@@ -48,9 +48,14 @@
 //! ```text
 //! bench_pipeline [--scale smoke|refinement|large|ingest] [--runs N] [--seed S] [--queries N] [--out PATH]
 //! ```
+//!
+//! The report goes to `target/BENCH_pipeline_<scale>.json` unless
+//! `--out` names a path, so committing a `BENCH_pr<N>.json` is always
+//! an explicit choice.
 
 use qcat_bench::{
-    bench_env, fnv1a_rows, json_escape, json_num, large_tier_dims, summarize, Summary,
+    bench_env, fnv1a_rows, json_escape, json_num, large_tier_dims, summarize, write_report,
+    Summary,
 };
 use qcat_data::Schema;
 use qcat_exec::{execute_normalized_with, execute_normalized_with_threads, plan, AccessPath};
@@ -82,15 +87,9 @@ impl Args {
         })
     }
 
-    fn out(&self) -> String {
-        self.out.clone().unwrap_or_else(|| {
-            match self.scale.as_str() {
-                "large" => "BENCH_pr8.json".to_string(),
-                "refinement" => "BENCH_pr9.json".to_string(),
-                "ingest" => "BENCH_pr10.json".to_string(),
-                _ => "BENCH_pr5.json".to_string(),
-            }
-        })
+    fn write_report(&self, json: &str) {
+        let path = write_report(self.out.as_deref(), "pipeline", &self.scale, json);
+        println!("  wrote {path}");
     }
 }
 
@@ -448,9 +447,7 @@ fn run_smoke(args: &Args) {
         chaos_queries, chaos_ok, chaos_degraded, chaos_shed, chaos_errors, chaos_status
     );
     out.push_str("}\n");
-    let out_path = args.out();
-    std::fs::write(&out_path, out).expect("write bench report");
-    println!("  wrote {out_path}");
+    args.write_report(&out);
     if mismatches > 0 || chaos_status != "ok" {
         std::process::exit(1);
     }
@@ -758,9 +755,7 @@ fn run_refinement(args: &Args) {
         counter("serve.cache.hit")
     );
     out.push_str("}\n");
-    let out_path = args.out();
-    std::fs::write(&out_path, out).expect("write bench report");
-    println!("  wrote {out_path}");
+    args.write_report(&out);
     if contain_status != "ok" || spec_status != "ok" {
         std::process::exit(1);
     }
@@ -966,9 +961,7 @@ fn run_ingest(args: &Args) {
         warmed, selective_live, epoch_live, retention_status
     );
     out.push_str("}\n");
-    let out_path = args.out();
-    std::fs::write(&out_path, out).expect("write bench report");
-    println!("  wrote {out_path}");
+    args.write_report(&out);
     if ingest_status != "ok" || retention_status != "ok" {
         std::process::exit(1);
     }
@@ -1400,9 +1393,7 @@ fn run_large(args: &Args) {
         );
     }
     out.push_str("  ]\n}\n");
-    let out_path = args.out();
-    std::fs::write(&out_path, out).expect("write bench report");
-    println!("  wrote {out_path}");
+    args.write_report(&out);
     if mismatches > 0 || det_mismatches > 0 {
         std::process::exit(1);
     }

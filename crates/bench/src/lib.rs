@@ -15,10 +15,12 @@ use qcat_workload::WorkloadStatistics;
 pub mod report;
 
 /// Schema version stamped into every `BENCH_*.json` report. Version 2
-/// added `schema_version` and `git` provenance fields; version 1
-/// reports predate the stamp (and parse as before — `bench_report`
-/// does not require it).
-pub const BENCH_SCHEMA_VERSION: u32 = 2;
+/// added `schema_version` and `git` provenance fields; version 3 added
+/// the categorize report's per-run bucket medians (`run_medians_ms`)
+/// and its serial-vs-auto `paired` section. Version 1 reports predate
+/// the stamp (and parse as before — `bench_report` does not require
+/// it).
+pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
 /// The current `git describe --always --dirty` of the working tree,
 /// or `"unknown"` when git is unavailable (hermetic build
@@ -147,6 +149,21 @@ pub fn fnv1a_rows(rows: &[u32]) -> u64 {
         }
     }
     h
+}
+
+/// Write a bench binary's report and return the path written: `out`
+/// when given, else `target/BENCH_<bench>_<scale>.json`, so committed
+/// `BENCH_pr<N>.json` history is only ever written through an explicit
+/// `--out`. Creates the report's directory.
+pub fn write_report(out: Option<&str>, bench: &str, scale: &str, json: &str) -> String {
+    let path = out.map_or_else(|| format!("target/BENCH_{bench}_{scale}.json"), str::to_string);
+    if let Some(dir) = std::path::Path::new(&path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir).expect("create the report directory");
+        }
+    }
+    std::fs::write(&path, json).expect("write bench report");
+    path
 }
 
 /// Escape a string for inclusion in a JSON string literal.

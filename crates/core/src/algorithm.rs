@@ -242,6 +242,10 @@ impl<'a> Categorizer<'a> {
             if s.is_empty() || candidates.is_empty() {
                 break;
             }
+            // Tuples one counting pass over the oversized nodes
+            // touches: the unit of work both per-level maps are
+            // dispatched by (`qcat_pool::MIN_WORK_PER_WORKER`).
+            let level_tuples: u64 = s.iter().map(|&id| tree.node(id).tuple_count() as u64).sum();
 
             // Phase 2 — partitioning (the paper's dominant phase),
             // fused with per-item pricing: every (candidate, node)
@@ -303,7 +307,12 @@ impl<'a> Categorizer<'a> {
                 let items: Vec<(usize, NodeId)> = (0..plans_built.len())
                     .flat_map(|ci| s.iter().map(move |&id| (ci, id)))
                     .collect();
-                let priced = match pool.try_map(&items, |_, &(ci, id)| {
+                let priced_plans = plans_built
+                    .iter()
+                    .filter(|p| !matches!(p, CandPlan::Leaf))
+                    .count() as u64;
+                let work = level_tuples * priced_plans;
+                let priced = match pool.try_map_work(&items, work, |_, &(ci, id)| {
                     let mut item_span =
                         qcat_obs::span!("categorize.level.partition.item", cand = ci);
                     let priced = self.price_item(&tree, &relation, &plans_built[ci], id, query, &probs);
@@ -321,6 +330,8 @@ impl<'a> Categorizer<'a> {
                 };
                 if qcat_obs::active() {
                     phase.set("candidates", candidates.len());
+                    phase.set("work", work);
+                    phase.set("width", pool.width_for(work).min(items.len()));
                     phase.set(
                         "categories_proposed",
                         priced.iter().map(|&(_, n)| n).sum::<usize>(),
@@ -369,7 +380,7 @@ impl<'a> Categorizer<'a> {
                 match &plans[best_idx] {
                     CandPlan::Leaf => Ok(Vec::new()),
                     CandPlan::Cat { col, plan, .. } => pool
-                        .try_map(&s, |_, &id| {
+                        .try_map_work(&s, level_tuples, |_, &id| {
                             let _item_span = qcat_obs::span!(
                                 "categorize.level.select.materialize.item",
                                 tuples = tree.node(id).tuple_count(),
@@ -383,7 +394,7 @@ impl<'a> Categorizer<'a> {
                         })
                         .map(|split| s.iter().copied().zip(split).collect()),
                     CandPlan::Num { plan, pw } => pool
-                        .try_map(&s, |_, &id| {
+                        .try_map_work(&s, level_tuples, |_, &id| {
                             let _item_span = qcat_obs::span!(
                                 "categorize.level.select.materialize.item",
                                 tuples = tree.node(id).tuple_count(),

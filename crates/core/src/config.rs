@@ -83,7 +83,10 @@ pub struct CategorizeConfig {
     /// with `WorkloadStatistics::build_with_correlation`; silently
     /// falls back to unconditional estimates otherwise.
     pub conditional_probabilities: bool,
-    /// Worker threads for the Figure-6 partition/price fan-out.
+    /// Cap on the threads a Figure-6 level's partition/price and
+    /// materialize maps fan out to. Each map's width follows its work
+    /// (`qcat_pool::ThreadPool::width_for`): levels lighter than
+    /// `qcat_pool::MIN_WORK_PER_WORKER` run inline at any cap.
     /// `0` (the default) resolves through the `QCAT_THREADS`
     /// environment variable, then the machine's available parallelism
     /// (see `qcat_pool::resolve_threads`). The categorization result is
@@ -174,7 +177,7 @@ impl CategorizeConfig {
         self
     }
 
-    /// Set the worker-thread count (`0` = resolve from the
+    /// Set the worker-thread cap (`0` = resolve from the
     /// environment/machine).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

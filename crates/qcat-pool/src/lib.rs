@@ -9,10 +9,12 @@
 //!   order regardless of which worker computed what, so any caller
 //!   that is deterministic per item is deterministic end to end at
 //!   every thread count, including 1.
-//! - **Serial fast path.** One resolved thread (or one item) runs the
-//!   closure inline on the calling thread: no spawns, no channels, no
-//!   allocation beyond the output vector. `threads = 1` is the serial
-//!   algorithm, not a degenerate parallel one.
+//! - **Serial fast path.** One resolved thread, one item, or a
+//!   [`ThreadPool::try_map_work`] batch lighter than
+//!   [`MIN_WORK_PER_WORKER`] runs the closure inline on the calling
+//!   thread: no spawns, no channels, no allocation beyond the output
+//!   vector. `threads = 1` is the serial algorithm, not a degenerate
+//!   parallel one.
 //! - **Scoped workers.** Workers live only for the duration of one
 //!   `map` call, so item slices and the mapping closure may borrow
 //!   freely from the caller's stack. A panicking task is *caught* in
@@ -69,6 +71,24 @@ pub fn resolve_threads(requested: usize) -> usize {
         thread::available_parallelism().map_or(1, |n| n.get())
     })
 }
+
+/// Work units a batch must bring per spawned worker before
+/// [`ThreadPool::try_map_work`] fans it out; below this the batch runs
+/// inline on the calling thread.
+///
+/// A unit is one tuple passed through one counting pass: a
+/// (tuple × priced candidate) pair in the categorizer's partition map,
+/// a tuple in its materialize map. The value is a measured break-even,
+/// not a guess at "big": on a 2-core host a two-wide batch costs
+/// 29–36 µs more than inline at near-zero work (the scoped spawn + join
+/// alone is ~25 µs, plus channel traffic and context propagation),
+/// pricing costs 23–30 ns per unit, and two-wide beats inline on the
+/// median level from 7 500–12 500 units on. Summed over every level
+/// of a run, map time is within about 1% of its minimum for any
+/// cutoff from 7 500 to 20 000; the lower end keeps large trees'
+/// mid-sized levels on two workers. docs/PERFORMANCE.md ("Work-aware
+/// dispatch") has the tables.
+pub const MIN_WORK_PER_WORKER: u64 = 10_000;
 
 /// Why a [`ThreadPool::try_map`] call did not return results.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,9 +224,44 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        self.try_map_at(self.threads, items, f)
+    }
+
+    /// Work-aware [`ThreadPool::try_map`]: `work` is the caller's
+    /// estimate of the whole batch's cost in [`MIN_WORK_PER_WORKER`]
+    /// units, and the width is [`ThreadPool::width_for`]`(work)`.
+    /// Below one worker's worth of work the batch runs inline on the
+    /// calling thread through the serial fast path (same budget,
+    /// fault-point, panic and error semantics, no `pool.tasks`); at
+    /// or above it the batch fans out exactly like `try_map`, with the
+    /// pool's width as a cap.
+    pub fn try_map_work<T, R, F>(&self, items: &[T], work: u64, f: F) -> Result<Vec<R>, PoolError>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        self.try_map_at(self.width_for(work), items, f)
+    }
+
+    /// How many threads (caller included) a batch of `work` units
+    /// runs on: one, plus one spawned worker per full
+    /// [`MIN_WORK_PER_WORKER`] units, capped at the pool's width.
+    pub fn width_for(&self, work: u64) -> usize {
+        let by_work = 1 + work / MIN_WORK_PER_WORKER;
+        self.threads
+            .min(usize::try_from(by_work).unwrap_or(usize::MAX))
+    }
+
+    fn try_map_at<T, R, F>(&self, width: usize, items: &[T], f: F) -> Result<Vec<R>, PoolError>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
         let n = items.len();
         let ctx = qcat_fault::capture();
-        let workers = self.threads.min(n);
+        let workers = width.min(n);
         if workers <= 1 {
             let mut out = Vec::with_capacity(n);
             for (i, item) in items.iter().enumerate() {
@@ -529,6 +584,86 @@ mod tests {
             }
         }
         assert_eq!(item_opens, items.len(), "every item opened a span");
+    }
+
+    #[test]
+    fn width_grows_one_worker_per_threshold_of_work() {
+        let pool = ThreadPool::new(4);
+        assert_eq!(pool.width_for(0), 1);
+        assert_eq!(pool.width_for(MIN_WORK_PER_WORKER - 1), 1);
+        assert_eq!(pool.width_for(MIN_WORK_PER_WORKER), 2);
+        assert_eq!(pool.width_for(3 * MIN_WORK_PER_WORKER), 4);
+        assert_eq!(pool.width_for(u64::MAX), 4, "the pool's width caps the fan-out");
+        assert_eq!(ThreadPool::new(1).width_for(u64::MAX), 1);
+    }
+
+    #[test]
+    fn light_batches_run_inline_and_dispatch_nothing() {
+        let rec = qcat_obs::Recorder::metrics_only();
+        let items: Vec<usize> = (0..500).collect();
+        let caller = thread::current().id();
+        let out = qcat_obs::with_recorder(&rec, || {
+            ThreadPool::new(8)
+                .try_map_work(&items, MIN_WORK_PER_WORKER - 1, |_, &x| {
+                    assert_eq!(thread::current().id(), caller, "light batch must not spawn");
+                    x * 2
+                })
+                .unwrap()
+        });
+        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        assert_eq!(rec.snapshot().counters.get("pool.tasks"), None);
+    }
+
+    #[test]
+    fn heavy_batches_fan_out() {
+        let rec = qcat_obs::Recorder::metrics_only();
+        let items: Vec<usize> = (0..500).collect();
+        let out = qcat_obs::with_recorder(&rec, || {
+            ThreadPool::new(2)
+                .try_map_work(&items, MIN_WORK_PER_WORKER, |_, &x| x * 2)
+                .unwrap()
+        });
+        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        assert_eq!(rec.snapshot().counters.get("pool.tasks"), Some(&500));
+    }
+
+    #[test]
+    fn work_aware_dispatch_keeps_failure_semantics() {
+        // Inline and fanned-out batches must fail the same way: the
+        // lowest-index panic, the fault point, and the budget drain.
+        let items: Vec<usize> = (0..64).collect();
+        let pool = ThreadPool::new(4);
+        for work in [0, MIN_WORK_PER_WORKER * 4] {
+            let err = pool
+                .try_map_work(&items, work, |_, &x| {
+                    if x == 13 || x == 40 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+                .unwrap_err();
+            assert!(
+                matches!(&err, PoolError::TaskPanicked { index: 13, message } if message.contains("boom at 13")),
+                "work={work}: {err:?}"
+            );
+
+            let plan = FaultPlan::parse("pool.task:error").unwrap();
+            let err = with_plan(&plan, || pool.try_map_work(&items, work, |_, &x| x)).unwrap_err();
+            assert!(matches!(err, PoolError::Fault(f) if f.site == "pool.task"), "work={work}");
+
+            let rec = qcat_obs::Recorder::metrics_only();
+            let gas = Budget::default().with_deadline(std::time::Duration::ZERO).start();
+            let err = qcat_obs::with_recorder(&rec, || {
+                with_budget(&gas, || pool.try_map_work(&items, work, |_, &x| x))
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                PoolError::Cancelled(qcat_fault::BudgetExceeded::Deadline),
+                "work={work}"
+            );
+            assert_eq!(rec.snapshot().counters.get("pool.cancelled"), Some(&1), "work={work}");
+        }
     }
 
     #[test]

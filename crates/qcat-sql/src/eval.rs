@@ -8,13 +8,14 @@
 use crate::error::NormalizeError;
 use crate::normalize::{AttrCondition, NormalizedQuery, NumericRange};
 use qcat_data::{AttrId, Column, Relation};
-use std::collections::HashSet;
 
 /// One condition compiled against the physical column it filters.
 #[derive(Debug, Clone)]
 enum CompiledCondition {
-    /// Dictionary codes accepted by a categorical IN-list.
-    CodeSet(HashSet<u32>),
+    /// Dictionary codes accepted by a categorical IN-list, as a
+    /// membership mask indexed by code: one load per row instead of a
+    /// hash probe.
+    CodeSet(Vec<bool>),
     /// Accepted numeric values, sorted.
     NumSet(Vec<f64>),
     /// Numeric interval.
@@ -56,12 +57,16 @@ impl CompiledPredicate {
             let column = relation.column(attr);
             let compiled = match (cond, column) {
                 (AttrCondition::InStr(values), Column::Categorical { dict, .. }) => {
-                    let codes: HashSet<u32> =
-                        values.iter().filter_map(|v| dict.lookup(v)).collect();
-                    if codes.is_empty() {
-                        CompiledCondition::Nothing
+                    let mut mask = vec![false; dict.len()];
+                    for code in values.iter().filter_map(|v| dict.lookup(v)) {
+                        if let Some(on) = mask.get_mut(code as usize) {
+                            *on = true;
+                        }
+                    }
+                    if mask.contains(&true) {
+                        CompiledCondition::CodeSet(mask)
                     } else {
-                        CompiledCondition::CodeSet(codes)
+                        CompiledCondition::Nothing
                     }
                 }
                 (AttrCondition::InNum(values), Column::Int(_) | Column::Float(_)) => {
@@ -208,9 +213,9 @@ impl CompiledPredicate {
                     match cond {
                         // `Nothing` matches no row anywhere.
                         CompiledCondition::Nothing => false,
-                        CompiledCondition::CodeSet(codes) => codes
-                            .iter()
-                            .any(|&c| summaries.may_have_code(shard, a, c)),
+                        CompiledCondition::CodeSet(mask) => (0u32..)
+                            .zip(mask)
+                            .any(|(c, &on)| on && summaries.may_have_code(shard, a, c)),
                         CompiledCondition::NumSet(values) => {
                             summaries.may_have_value(shard, a, values)
                         }
@@ -244,9 +249,9 @@ impl CompiledPredicate {
 fn condition_matches(column: &Column, cond: &CompiledCondition, row: u32) -> bool {
     match cond {
         CompiledCondition::Nothing => false,
-        CompiledCondition::CodeSet(codes) => column
+        CompiledCondition::CodeSet(mask) => column
             .code_at(row as usize)
-            .is_some_and(|c| codes.contains(&c)),
+            .is_some_and(|c| mask.get(c as usize).copied().unwrap_or(false)),
         CompiledCondition::NumSet(values) => column
             .numeric_at(row as usize)
             .is_some_and(|v| values.binary_search_by(|p| p.total_cmp(&v)).is_ok()),
@@ -330,6 +335,19 @@ mod tests {
             run("SELECT * FROM homes WHERE neighborhood IN ('Atlantis')"),
             Vec::<u32>::new()
         );
+    }
+
+    #[test]
+    fn in_list_mixing_known_and_unknown_values_keeps_the_known() {
+        // The code mask is sized by the dictionary; values absent from
+        // it set no bit and every dictionary code is a valid index.
+        let rel = homes();
+        let sql = "SELECT * FROM homes WHERE neighborhood IN ('Atlantis','Issaquah','Seattle')";
+        let q = parse_and_normalize(sql, rel.schema()).unwrap();
+        let p = CompiledPredicate::compile(&q, &rel).unwrap();
+        assert_eq!(p.filter(&rel, None), vec![2, 4]);
+        let by_row: Vec<u32> = (0..rel.len() as u32).filter(|&r| p.matches_row(&rel, r)).collect();
+        assert_eq!(by_row, vec![2, 4]);
     }
 
     #[test]

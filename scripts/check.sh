@@ -15,11 +15,8 @@ cargo build --release --workspace
 echo "==> qcat-lint (L1-L10 + audit self-check)"
 cargo run --release -p qcat-lint -- --workspace
 
-echo "==> cargo test -q (root package: integration + lint gate)"
+echo "==> cargo test -q (default members: every crate + root integration + lint gate)"
 cargo test -q
-
-echo "==> cargo test -q --workspace (all crates)"
-cargo test -q --workspace
 
 echo "==> bench smoke (hermetic categorize benchmark)"
 ./target/release/bench_categorize --runs 2 --cases 4 \
