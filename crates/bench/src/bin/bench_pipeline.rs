@@ -41,7 +41,10 @@
 //!   kept alive (selective must retain strictly more than the
 //!   baseline), and `ingest.mismatches`: every answer the surviving
 //!   caches serve must be byte-identical to a from-scratch recompute
-//!   (gated absolutely by `bench_report --check`).
+//!   (gated absolutely by `bench_report --check`). A commit-latency
+//!   sweep closes the run: the same 32-row batch committed to indexed
+//!   6k / 60k / 600k-row tables, at least 5 timed commits each, with
+//!   the interquartile range as the noise floor (`commit_sweep`).
 //!
 //! Std-only like `bench_categorize` (same schema conventions).
 //!
@@ -216,7 +219,12 @@ fn run_smoke(args: &Args) {
     let schema = relation.schema().clone();
     let n = relation.len();
     relation.build_indexes();
-    let index_bytes = relation.indexes().map_or(0, |ix| ix.heap_bytes());
+    let index_bytes: usize = relation
+        .shards()
+        .iter()
+        .filter_map(|s| s.indexes())
+        .map(|ix| ix.heap_bytes())
+        .sum();
     println!("  {} rows, index heap {} bytes", n, index_bytes);
 
     // ---- Differential: scan / auto / forced-index row-set equality
@@ -917,6 +925,8 @@ fn run_ingest(args: &Args) {
         ingest_status
     );
 
+    let sweep = commit_sweep(args.seed, runs.max(COMMIT_SWEEP_MIN_RUNS));
+
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pipeline\",\n  \"scale\": \"ingest\",\n");
@@ -949,6 +959,19 @@ fn run_ingest(args: &Args) {
         "    \"append_epoch\": {},\n",
         summary_json(&epoch_append)
     );
+    out.push_str("    \"commit_sweep\": [\n");
+    for (i, e) in sweep.iter().enumerate() {
+        let _ = write!(
+            out,
+            "      {{\"base_rows\": {}, \"runs\": {}, \"commit\": {}, \"noise_ms\": {}}}{}\n",
+            e.base_rows,
+            e.runs,
+            summary_json(&e.commit),
+            json_num(e.noise_ms),
+            if i + 1 < sweep.len() { "," } else { "" }
+        );
+    }
+    out.push_str("    ],\n");
     let _ = write!(
         out,
         "    \"evicted\": {}, \"kept\": {}, \"mismatches\": {}, \"status\": \"{}\"\n",
@@ -965,6 +988,59 @@ fn run_ingest(args: &Args) {
     if ingest_status != "ok" || retention_status != "ok" {
         std::process::exit(1);
     }
+}
+
+/// Base sizes of the commit-latency sweep: a 32-row append should
+/// cost the same on each, since a commit copies only the open tail.
+const COMMIT_SWEEP_ROWS: [usize; 3] = [6_000, 60_000, 600_000];
+/// Fewest timed commits per sweep point, whatever `--runs` says.
+const COMMIT_SWEEP_MIN_RUNS: usize = 5;
+
+/// One point of the commit-latency sweep.
+struct CommitPoint {
+    base_rows: usize,
+    runs: usize,
+    commit: Summary,
+    /// Interquartile range of the timed commits: the noise floor a
+    /// difference between points must clear.
+    noise_ms: f64,
+}
+
+/// Time `runs` commits of the same 32-row batch against indexed,
+/// unsharded tables of each `COMMIT_SWEEP_ROWS` size, one table per
+/// size (the tail grows by 32 rows per commit, as it does in
+/// service). One untimed commit first opens the tail.
+fn commit_sweep(seed: u64, runs: usize) -> Vec<CommitPoint> {
+    let mut points = Vec::with_capacity(COMMIT_SWEEP_ROWS.len());
+    for rows in COMMIT_SWEEP_ROWS {
+        let env = StudyEnv::generate(StudyScale::Custom { rows, queries: 50 }, seed);
+        env.relation.build_indexes();
+        let row = env.relation.row(0).expect("row 0 of the sweep table");
+        let batch: Vec<Vec<qcat_data::Value>> = (0..32).map(|_| row.clone()).collect();
+        let table = qcat_data::IngestTable::new(env.relation);
+        table.append_rows(&batch).expect("opening commit");
+        let mut samples: Vec<u64> = (0..runs)
+            .map(|_| {
+                time_ns(|| {
+                    table.append_rows(&batch).expect("timed commit");
+                })
+            })
+            .collect();
+        samples.sort_unstable();
+        let quartile = |q: usize| samples[(samples.len() - 1) * q / 4] as f64 / 1e6;
+        let point = CommitPoint {
+            base_rows: rows,
+            runs,
+            commit: summarize(&samples),
+            noise_ms: quartile(3) - quartile(1),
+        };
+        println!(
+            "  commit sweep: {:>7} base rows: median {:.4} ms (noise floor {:.4} ms, {} runs)",
+            rows, point.commit.median_ms, point.noise_ms, runs
+        );
+        points.push(point);
+    }
+    points
 }
 
 /// One timed sweep entry of the large tier: a layout/thread-width
@@ -1226,7 +1302,12 @@ fn run_large(args: &Args) {
             .collect();
         auto_summary = summarize(&auto_ns);
     });
-    let index_bytes = sharded.indexes().map_or(0, |ix| ix.heap_bytes());
+    let index_bytes: usize = sharded
+        .shards()
+        .iter()
+        .filter_map(|s| s.indexes())
+        .map(|ix| ix.heap_bytes())
+        .sum();
     let index_speedup = sel_scan_summary.median_ms / auto_summary.median_ms;
     let sel_probe = sample
         .iter()

@@ -255,6 +255,22 @@ fn pipeline_metrics(v: &JsonValue) -> Vec<(String, f64)> {
                 out.push((format!("ingest.{key}"), m));
             }
         }
+        // Commit latency per base size: one series per point, so the
+        // trajectory shows whether append cost stays flat in base size.
+        if let Some(JsonValue::Arr(points)) = ing.get("commit_sweep") {
+            for p in points {
+                let Some(rows) = num(p, "base_rows") else {
+                    continue;
+                };
+                let prefix = format!("ingest.commit_{rows}");
+                if let Some(s) = p.get("commit") {
+                    summary_metrics(&mut out, &prefix, s);
+                }
+                if let Some(noise) = num(p, "noise_ms") {
+                    out.push((format!("{prefix}.noise_ms"), noise));
+                }
+            }
+        }
     }
     if let Some(ret) = v.get("retention") {
         for key in ["selective_live", "epoch_live"] {
@@ -676,6 +692,21 @@ mod tests {
         // An ingest report never gates against a smoke baseline.
         let smoke = pipeline_fixture(7, 0.30, 30.0);
         assert_eq!(check(&[smoke, f], 0.1), vec![]);
+    }
+
+    #[test]
+    fn ingest_commit_sweep_is_one_series_per_base_size() {
+        let text = "{\"bench\": \"pipeline\", \"scale\": \"ingest\",\
+            \"ingest\": {\"appends\": 12, \"commit_sweep\": [\
+              {\"base_rows\": 6000, \"runs\": 12, \"commit\": {\"mean_ms\": 0.2, \"median_ms\": 0.2, \"p95_ms\": 0.3}, \"noise_ms\": 0.01},\
+              {\"base_rows\": 600000, \"runs\": 12, \"commit\": {\"mean_ms\": 0.3, \"median_ms\": 0.25, \"p95_ms\": 0.4}, \"noise_ms\": 0.02}],\
+              \"mismatches\": 0, \"status\": \"ok\"}}";
+        let f = parse_bench_file("BENCH_pr20.json", text).expect("parses");
+        let get = |k: &str| f.metrics.iter().find(|(m, _)| m == k).map(|(_, v)| *v);
+        assert_eq!(get("ingest.commit_6000.median_ms"), Some(0.2));
+        assert_eq!(get("ingest.commit_600000.median_ms"), Some(0.25));
+        assert_eq!(get("ingest.commit_600000.noise_ms"), Some(0.02));
+        assert_eq!(get("ingest.appends"), Some(12.0));
     }
 
     #[test]

@@ -18,29 +18,30 @@
 //! by a dictionary; obtaining one is the single fallible step, after
 //! which every label operation is total.
 
-use qcat_data::{AttrId, Dictionary, Relation};
+use qcat_data::{AttrId, Chunk, Column, Dictionary, Relation};
 use qcat_sql::{AttrCondition, NormalizedQuery, NumericRange};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Proof that `attr` is a categorical column of a specific relation:
-/// holds the dictionary and the per-row code column. Constructing one
-/// is the only place where "is this attribute categorical?" can fail;
-/// labels built through it carry their value strings and are total
+/// holds the dictionary and the code column. Constructing one is the
+/// only place where "is this attribute categorical?" can fail; labels
+/// built through it carry their value strings and are total
 /// afterwards.
 #[derive(Debug, Clone, Copy)]
 pub struct CategoricalCol<'a> {
     attr: AttrId,
     dict: &'a Dictionary,
-    codes: &'a [u32],
+    column: Column<'a>,
 }
 
 impl<'a> CategoricalCol<'a> {
     /// Witness that `attr` is categorical in `relation`, or `None`.
     pub fn of(relation: &'a Relation, attr: AttrId) -> Option<Self> {
-        let (dict, codes) = relation.column(attr).categorical()?;
-        Some(CategoricalCol { attr, dict, codes })
+        let column = relation.column(attr);
+        let dict = column.dictionary()?;
+        Some(CategoricalCol { attr, dict, column })
     }
 
     /// The proven attribute.
@@ -53,9 +54,22 @@ impl<'a> CategoricalCol<'a> {
         self.dict
     }
 
-    /// Per-row dictionary codes.
-    pub fn codes(&self) -> &'a [u32] {
-        self.codes
+    /// Split `tset` into per-segment runs over plain code slices:
+    /// `(codes, start, run)`, where row `r` of `run` holds code
+    /// `codes[r - start]`. A one-segment relation yields one run.
+    pub fn code_runs<'r>(
+        &self,
+        tset: &'r [u32],
+    ) -> impl Iterator<Item = (&'a [u32], u32, &'r [u32])> + 'r
+    where
+        'a: 'r,
+    {
+        self.column
+            .runs(tset)
+            .filter_map(|(chunk, start, run)| match chunk {
+                Chunk::Codes(codes) => Some((codes.as_slice(), start, run)),
+                _ => None,
+            })
     }
 
     /// Number of distinct dictionary values.

@@ -113,17 +113,18 @@ impl CategoricalPlan {
         threshold: Option<usize>,
         top_k: usize,
     ) -> Partitioning {
-        let codes = cat.codes();
         // Bucket rows by code, preserving table order within buckets.
         // A budget trip abandons the pass: the truncated partitioning
         // can never be attached (see `GasPacer`).
         let mut pacer = super::GasPacer::new();
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.values.len()];
-        for &row in tset {
-            if !pacer.checkpoint() {
-                break;
+        'runs: for (codes, start, run) in cat.code_runs(tset) {
+            for &row in run {
+                if !pacer.checkpoint() {
+                    break 'runs;
+                }
+                buckets[codes[(row - start) as usize] as usize].push(row);
             }
-            buckets[codes[row as usize] as usize].push(row);
         }
         let counts: Vec<usize> = buckets.iter().map(Vec::len).collect();
         let (singles, tail) = self.layout(&counts, threshold, top_k);
@@ -175,16 +176,17 @@ impl CategoricalPlan {
         threshold: Option<usize>,
         top_k: usize,
     ) -> Vec<(f64, usize)> {
-        let codes = cat.codes();
         // As in `split_grouped`, a budget trip abandons the counting
         // pass; the mispriced result dies with the discarded level.
         let mut pacer = super::GasPacer::new();
         let mut counts = vec![0usize; self.values.len()];
-        for &row in tset {
-            if !pacer.checkpoint() {
-                break;
+        'runs: for (codes, start, run) in cat.code_runs(tset) {
+            for &row in run {
+                if !pacer.checkpoint() {
+                    break 'runs;
+                }
+                counts[codes[(row - start) as usize] as usize] += 1;
             }
-            counts[codes[row as usize] as usize] += 1;
         }
         let (singles, tail) = self.layout(&counts, threshold, top_k);
         let mut children: Vec<(f64, usize)> = singles

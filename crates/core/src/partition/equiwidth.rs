@@ -36,11 +36,13 @@ pub fn equiwidth_split(
         return None;
     }
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_buckets];
-    for &row in tset {
-        let Some(v) = column.numeric_at(row as usize) else {
-            continue; // non-numeric cell: cannot be bucketed
-        };
-        buckets[bucket_of(v)].push(row);
+    for (chunk, start, run) in column.runs(tset) {
+        for &row in run {
+            let Some(v) = chunk.numeric((row - start) as usize) else {
+                continue; // non-numeric cell: cannot be bucketed
+            };
+            buckets[bucket_of(v)].push(row);
+        }
     }
     let parts = buckets
         .into_iter()

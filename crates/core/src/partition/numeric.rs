@@ -177,10 +177,10 @@ impl NumericPlan {
             return None;
         }
         // Sorted values for O(log n) bucket-population queries.
-        let mut sorted: Vec<f64> = tset
-            .iter()
-            .filter_map(|&r| column.numeric_at(r as usize))
-            .collect();
+        let mut sorted: Vec<f64> = Vec::new();
+        column.runs(tset).for_each(|(chunk, start, run)| {
+            sorted.extend(run.iter().filter_map(|&r| chunk.numeric((r - start) as usize)));
+        });
         sorted.sort_unstable_by(f64::total_cmp);
 
         let max_splits = match config.bucket_count {
@@ -349,16 +349,18 @@ fn build_buckets(
     // A budget trip abandons bucketing; the partial partitioning dies
     // with the discarded level (see `GasPacer`).
     let mut pacer = super::GasPacer::new();
-    for &row in tset {
-        if !pacer.checkpoint() {
-            break;
+    'runs: for (chunk, start, run) in column.runs(tset) {
+        for &row in run {
+            if !pacer.checkpoint() {
+                break 'runs;
+            }
+            let Some(v) = chunk.numeric((row - start) as usize) else {
+                continue; // non-numeric cell: cannot be bucketed
+            };
+            // Index of the first split > v gives the bucket.
+            let idx = splits.partition_point(|&s| s <= v);
+            buckets[idx].push(row);
         }
-        let Some(v) = column.numeric_at(row as usize) else {
-            continue; // non-numeric cell: cannot be bucketed
-        };
-        // Index of the first split > v gives the bucket.
-        let idx = splits.partition_point(|&s| s <= v);
-        buckets[idx].push(row);
     }
     let parts = bucket_ranges(splits, vmin, vmax)
         .zip(buckets)

@@ -52,14 +52,15 @@ impl<'a> WorkloadRanker<'a> {
             // A type-confused column or out-of-range row contributes
             // zero demand rather than panicking mid-ranking.
             let demand = match relation.schema().type_of(attr) {
-                AttrType::Categorical => relation
-                    .column(attr)
-                    .categorical()
-                    .and_then(|(dict, codes)| {
-                        let &code = codes.get(row as usize)?;
-                        Some(self.stats.occ(attr, dict.value_unchecked(code)) as f64)
-                    })
-                    .map_or(0.0, |occ| occ / n_attr as f64),
+                AttrType::Categorical => {
+                    let column = relation.column(attr);
+                    column
+                        .dictionary()
+                        .zip(column.code_at(row as usize))
+                        .map_or(0.0, |(dict, code)| {
+                            self.stats.occ(attr, dict.value_unchecked(code)) as f64 / n_attr as f64
+                        })
+                }
                 AttrType::Int | AttrType::Float => {
                     match relation.column(attr).numeric_at(row as usize) {
                         Some(v) => {

@@ -1,9 +1,8 @@
-//! Per-relation secondary indexes and sorted row-id set kernels.
+//! Per-segment secondary indexes and sorted row-id set kernels.
 //!
 //! The paper assumes the host DBMS executes the selection query
-//! cheaply (Section 5); this module is our access-path layer. A
-//! frozen relation can carry an [`IndexSet`] — one [`ShardIndexes`]
-//! per horizontal shard of the relation, each holding:
+//! cheaply (Section 5); this module is our access-path layer. Every
+//! segment of an indexed relation carries one [`ShardIndexes`], holding:
 //!
 //! - one **postings index** per categorical column: for every
 //!   dictionary code, the ascending list of row ids holding that code
@@ -12,16 +11,12 @@
 //!   pairs sorted by value, so any interval maps to a contiguous
 //!   slice found by binary search.
 //!
-//! Row ids are **global** (table row ids, not shard-relative), so a
-//! shard's lists concatenate in shard order into globally ascending
-//! lists with no merge step: shard row ranges are disjoint and
-//! increasing. The single-shard build is exactly the pre-shard index —
-//! same arrays, same bytes.
-//!
-//! Shards build independently, so [`IndexSet::build_sharded`] fans the
-//! per-shard builds out as `qcat-pool` morsels: budget `Gas` is polled
-//! before each shard, the caller's recorder/trace context propagates
-//! into workers, and results collect deterministically by shard index.
+//! Row ids are **global** (table row ids, not segment-relative), so a
+//! segment's lists concatenate in segment order into globally ascending
+//! lists with no merge step: segment row ranges are disjoint and
+//! increasing. Segments index independently, so `Relation::build_indexes`
+//! fans them out as `qcat-pool` morsels, and an append indexes only the
+//! segments it rebuilt: sealed segments keep theirs.
 //!
 //! All set algebra happens on ascending `u32` row-id lists via the
 //! first-party kernels [`intersect_sorted`] (galloping for skewed
@@ -29,11 +24,8 @@
 //! table order, so index-produced results are bit-compatible with a
 //! full scan's.
 
-use crate::column::Column;
-use crate::shard::ShardMap;
+use crate::column::Chunk;
 use crate::types::AttrId;
-use qcat_pool::{PoolError, ThreadPool};
-use std::sync::Arc;
 
 /// How much larger one list must be before intersection switches
 /// from linear merging to galloping probes into the larger list.
@@ -50,11 +42,12 @@ pub struct PostingsIndex {
 }
 
 impl PostingsIndex {
-    /// Build from per-row dictionary codes (`dict_len` distinct
-    /// codes); stored row ids are offset by `base` so a shard built
-    /// from `codes[start..end]` emits global table row ids.
-    fn build(codes: &[u32], dict_len: usize, base: u32) -> PostingsIndex {
-        let mut counts = vec![0u32; dict_len + 1];
+    /// Build from per-row dictionary codes (covering codes up to the
+    /// largest present); stored row ids are offset by `base` so a
+    /// segment starting at table row `base` emits global row ids.
+    fn build(codes: &[u32], base: u32) -> PostingsIndex {
+        let top = codes.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut counts = vec![0u32; top + 1];
         for &c in codes {
             counts[c as usize + 1] += 1;
         }
@@ -87,7 +80,7 @@ impl PostingsIndex {
         self.rows_for_code(code).len()
     }
 
-    /// Number of distinct codes the index covers.
+    /// Number of codes the index covers (the largest present + 1).
     pub fn distinct(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
@@ -192,32 +185,26 @@ pub enum AttrIndex {
     Sorted(SortedIndex),
 }
 
-/// The indexes of one horizontal shard: one [`AttrIndex`] per column,
-/// covering the shard's row range with global row ids.
+/// The indexes of one segment: one [`AttrIndex`] per column, covering
+/// the segment's rows with global row ids.
 #[derive(Debug, Clone)]
 pub struct ShardIndexes {
     per_attr: Vec<AttrIndex>,
 }
 
 impl ShardIndexes {
-    /// Index rows `[start, end)` of every column. Crate-visible so the
-    /// ingest layer can build indexes for just the shards an append
-    /// dirtied, carrying the untouched shards' indexes by `Arc`.
-    pub(crate) fn build(columns: &[Column], start: usize, end: usize) -> ShardIndexes {
+    /// Index every chunk of a segment whose first row is table row
+    /// `start`.
+    pub(crate) fn build(chunks: &[Chunk], start: usize) -> ShardIndexes {
         let base = start as u32;
-        let per_attr = columns
+        let per_attr = chunks
             .iter()
-            .map(|col| match col {
-                Column::Categorical { dict, codes } => {
-                    AttrIndex::Postings(PostingsIndex::build(&codes[start..end], dict.len(), base))
+            .map(|chunk| match chunk {
+                Chunk::Codes(codes) => AttrIndex::Postings(PostingsIndex::build(codes, base)),
+                Chunk::Int(v) => {
+                    AttrIndex::Sorted(SortedIndex::build(v.iter().map(|&i| i as f64), base))
                 }
-                Column::Int(v) => AttrIndex::Sorted(SortedIndex::build(
-                    v[start..end].iter().map(|&i| i as f64),
-                    base,
-                )),
-                Column::Float(v) => {
-                    AttrIndex::Sorted(SortedIndex::build(v[start..end].iter().copied(), base))
-                }
+                Chunk::Float(v) => AttrIndex::Sorted(SortedIndex::build(v.iter().copied(), base)),
             })
             .collect();
         ShardIndexes { per_attr }
@@ -253,138 +240,6 @@ impl ShardIndexes {
                 AttrIndex::Sorted(s) => s.heap_bytes(),
             })
             .sum()
-    }
-}
-
-/// The full index complement of one relation: one [`ShardIndexes`]
-/// per horizontal shard.
-///
-/// Shards are held by `Arc` so an appended relation can carry the
-/// untouched base shards' indexes by reference — an append rebuilds
-/// only the shards it dirtied, and the shared prefix costs no copy.
-#[derive(Debug, Clone)]
-pub struct IndexSet {
-    shards: Vec<Arc<ShardIndexes>>,
-}
-
-impl IndexSet {
-    /// Build single-shard indexes for every column — the layout every
-    /// unsharded relation uses. Cost is one counting pass per
-    /// categorical column and one sort per numeric column.
-    pub fn build(columns: &[Column]) -> IndexSet {
-        let rows = columns.first().map_or(0, Column::len);
-        IndexSet::build_serial(columns, &ShardMap::single(rows))
-    }
-
-    /// Build per-shard indexes serially on the calling thread, with no
-    /// budget checkpoints — the fallback that keeps
-    /// `Relation::build_indexes` infallible.
-    pub fn build_serial(columns: &[Column], map: &ShardMap) -> IndexSet {
-        let mut span = qcat_obs::span!(
-            "data.index.build",
-            columns = columns.len(),
-            shards = map.shard_count()
-        );
-        let shards = (0..map.shard_count())
-            .map(|s| {
-                let (start, end) = map.bounds(s);
-                Arc::new(ShardIndexes::build(columns, start, end))
-            })
-            .collect();
-        let set = IndexSet { shards };
-        if qcat_obs::active() {
-            span.set("heap_bytes", set.heap_bytes());
-        }
-        set
-    }
-
-    /// Assemble an index set from pre-built per-shard indexes, in
-    /// shard order. The ingest layer uses this to splice carried-over
-    /// base shards together with freshly built tail shards.
-    pub(crate) fn from_shards(shards: Vec<Arc<ShardIndexes>>) -> IndexSet {
-        IndexSet { shards }
-    }
-
-    /// Build per-shard indexes as `qcat-pool` morsels: one work item
-    /// per shard, `threads` resolved by [`qcat_pool::resolve_threads`]
-    /// (0 = auto). Workers poll the caller's budget `Gas` before each
-    /// shard and inherit the caller's recorder/trace context; results
-    /// collect by shard index, so the set is identical to
-    /// [`IndexSet::build_serial`]'s at any thread count.
-    pub fn build_sharded(
-        columns: &[Column],
-        map: &ShardMap,
-        threads: usize,
-    ) -> Result<IndexSet, PoolError> {
-        let pool = ThreadPool::new(threads);
-        if map.is_single() || pool.threads() <= 1 {
-            // The serial fast path still honors an installed budget so
-            // `try_build_indexes` refuses consistently at one thread.
-            if let Some(gas) = qcat_fault::current_gas() {
-                if let Err(reason) = gas.check() {
-                    return Err(PoolError::Cancelled(reason));
-                }
-            }
-            return Ok(IndexSet::build_serial(columns, map));
-        }
-        let mut span = qcat_obs::span!(
-            "data.index.build",
-            columns = columns.len(),
-            shards = map.shard_count(),
-            threads = pool.threads()
-        );
-        let shard_ids: Vec<usize> = (0..map.shard_count()).collect();
-        let shards = pool.try_map(&shard_ids, |_, &s| {
-            let (start, end) = map.bounds(s);
-            let _item = qcat_obs::span!("data.index.shard", shard = s, rows = end - start);
-            Arc::new(ShardIndexes::build(columns, start, end))
-        })?;
-        let set = IndexSet { shards };
-        if qcat_obs::active() {
-            span.set("heap_bytes", set.heap_bytes());
-        }
-        Ok(set)
-    }
-
-    /// Number of shards the indexes cover (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard indexes, in shard (= row) order.
-    pub fn shards(&self) -> &[Arc<ShardIndexes>] {
-        &self.shards
-    }
-
-    /// The index on attribute `id` of the **only** shard. `None` when
-    /// the relation is sharded — shard-aware callers iterate
-    /// [`IndexSet::shards`] instead.
-    pub fn attr(&self, id: AttrId) -> Option<&AttrIndex> {
-        match self.shards.as_slice() {
-            [only] => only.attr(id),
-            _ => None,
-        }
-    }
-
-    /// Single-shard postings accessor; see [`IndexSet::attr`].
-    pub fn postings(&self, id: AttrId) -> Option<&PostingsIndex> {
-        match self.shards.as_slice() {
-            [only] => only.postings(id),
-            _ => None,
-        }
-    }
-
-    /// Single-shard sorted-projection accessor; see [`IndexSet::attr`].
-    pub fn sorted(&self, id: AttrId) -> Option<&SortedIndex> {
-        match self.shards.as_slice() {
-            [only] => only.sorted(id),
-            _ => None,
-        }
-    }
-
-    /// Total heap bytes held by all shards' indexes.
-    pub fn heap_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.heap_bytes()).sum()
     }
 }
 
@@ -499,19 +354,37 @@ fn union2(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnBuilder;
-    use crate::types::AttrType;
+    use crate::relation::{Relation, RelationBuilder};
+    use crate::types::{AttrType, Field, Schema};
+    use qcat_pool::PoolError;
 
-    fn cat(vals: &[&str]) -> Column {
-        let mut b = ColumnBuilder::with_capacity(AttrType::Categorical, vals.len());
-        for v in vals {
-            b.push_str(v).unwrap();
+    /// Codes of `vals`, interned in first-seen order.
+    fn cat(vals: &[&str]) -> Chunk {
+        let mut dict = crate::Dictionary::new();
+        Chunk::Codes(vals.iter().map(|v| dict.intern(v)).collect())
+    }
+
+    /// One-segment indexes over `chunks`.
+    fn build(chunks: &[Chunk]) -> ShardIndexes {
+        ShardIndexes::build(chunks, 0)
+    }
+
+    /// A (categorical, int) relation in segments of `shard_rows`.
+    fn relation(cats: &[&str], ints: &[i64], shard_rows: usize) -> Relation {
+        let schema = Schema::new(vec![
+            Field::new("c", AttrType::Categorical),
+            Field::new("i", AttrType::Int),
+        ])
+        .unwrap();
+        let mut b = RelationBuilder::new(schema).with_shard_rows(shard_rows);
+        for (c, i) in cats.iter().zip(ints) {
+            b.push_row(&[(*c).into(), (*i).into()]).unwrap();
         }
-        b.finish()
+        b.finish().unwrap()
     }
 
     /// Collect a borrowed interval slice into ascending row ids, the
-    /// way shard-aware callers do.
+    /// way segment-aware callers do.
     fn rows_in(s: &SortedIndex, lo: f64, li: bool, hi: f64, hi_inc: bool) -> Vec<u32> {
         let mut out = s.slice_in(lo, li, hi, hi_inc).to_vec();
         out.sort_unstable();
@@ -520,8 +393,7 @@ mod tests {
 
     #[test]
     fn postings_group_rows_by_code() {
-        let col = cat(&["a", "b", "a", "c", "b", "a"]);
-        let set = IndexSet::build(std::slice::from_ref(&col));
+        let set = build(&[cat(&["a", "b", "a", "c", "b", "a"])]);
         let p = set.postings(AttrId(0)).unwrap();
         assert_eq!(p.distinct(), 3);
         // Codes intern in first-seen order: a=0, b=1, c=2.
@@ -536,8 +408,7 @@ mod tests {
 
     #[test]
     fn sorted_index_answers_ranges() {
-        let col = Column::Float(vec![5.0, 1.0, 3.0, 3.0, 9.0]);
-        let set = IndexSet::build(std::slice::from_ref(&col));
+        let set = build(&[Chunk::Float(vec![5.0, 1.0, 3.0, 3.0, 9.0])]);
         let s = set.sorted(AttrId(0)).unwrap();
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
@@ -554,8 +425,7 @@ mod tests {
 
     #[test]
     fn slice_probes_borrow_without_allocating() {
-        let col = Column::Float(vec![2.0, 1.0, 2.0, 3.0]);
-        let set = IndexSet::build(std::slice::from_ref(&col));
+        let set = build(&[Chunk::Float(vec![2.0, 1.0, 2.0, 3.0])]);
         let s = set.sorted(AttrId(0)).unwrap();
         // Two probes of the same interval return the same backing
         // slice — pointer equality proves no per-probe copy.
@@ -568,8 +438,7 @@ mod tests {
 
     #[test]
     fn int_columns_get_sorted_indexes() {
-        let col = Column::Int(vec![4, 2, 2, 8]);
-        let set = IndexSet::build(std::slice::from_ref(&col));
+        let set = build(&[Chunk::Int(vec![4, 2, 2, 8])]);
         let s = set.sorted(AttrId(0)).unwrap();
         assert_eq!(s.slice_eq(2.0), &[1, 2]);
         assert_eq!(rows_in(s, 3.0, true, 10.0, true), vec![0, 3]);
@@ -579,17 +448,25 @@ mod tests {
 
     #[test]
     fn sharded_build_matches_serial_with_global_ids() {
-        let cols = vec![
-            cat(&["a", "b", "a", "c", "b", "a", "c"]),
-            Column::Int(vec![4, 2, 2, 8, 1, 9, 2]),
-        ];
-        let map = ShardMap::new(3, 7);
-        let serial = IndexSet::build_serial(&cols, &map);
-        for threads in [1, 2, 8] {
-            let parallel = IndexSet::build_sharded(&cols, &map, threads).unwrap();
-            assert_eq!(parallel.shard_count(), 3, "threads={threads}");
-            for (s, (a, b)) in serial.shards().iter().zip(parallel.shards()).enumerate() {
-                let (pa, pb) = (a.postings(AttrId(0)).unwrap(), b.postings(AttrId(0)).unwrap());
+        let cats = ["a", "b", "a", "c", "b", "a", "c"];
+        let ints = [4, 2, 2, 8, 1, 9, 2];
+        let serial = relation(&cats, &ints, 3);
+        serial.try_build_indexes(1).unwrap();
+        for threads in [2, 8] {
+            let parallel = relation(&cats, &ints, 3);
+            parallel.try_build_indexes(threads).unwrap();
+            assert_eq!(parallel.shards().shard_count(), 3, "threads={threads}");
+            for (s, (a, b)) in serial
+                .shards()
+                .iter()
+                .zip(parallel.shards().iter())
+                .enumerate()
+            {
+                let (a, b) = (a.indexes().unwrap(), b.indexes().unwrap());
+                let (pa, pb) = (
+                    a.postings(AttrId(0)).unwrap(),
+                    b.postings(AttrId(0)).unwrap(),
+                );
                 for code in 0..3 {
                     assert_eq!(pa.rows_for_code(code), pb.rows_for_code(code), "shard {s}");
                 }
@@ -601,52 +478,60 @@ mod tests {
                 );
             }
         }
-        // Global ids: shard 1 covers rows 3..6; code c=2 appears at 3.
-        let p = serial.shards()[1].postings(AttrId(0)).unwrap();
+        // Global ids: segment 1 covers rows 3..6; code c=2 appears at 3.
+        let p = serial.shards()[1]
+            .indexes()
+            .unwrap()
+            .postings(AttrId(0))
+            .unwrap();
         assert_eq!(p.rows_for_code(2), &[3]);
-        // Concatenating per-shard eq-slices in shard order is globally
-        // ascending (value 2 lives at rows 1, 2, 6).
+        // Concatenating per-segment eq-slices in segment order is
+        // globally ascending (value 2 lives at rows 1, 2, 6).
         let mut concat = Vec::new();
-        for sh in serial.shards() {
-            concat.extend_from_slice(sh.sorted(AttrId(1)).unwrap().slice_eq(2.0));
+        for seg in serial.shards().iter() {
+            concat.extend_from_slice(
+                seg.indexes()
+                    .unwrap()
+                    .sorted(AttrId(1))
+                    .unwrap()
+                    .slice_eq(2.0),
+            );
         }
         assert_eq!(concat, vec![1, 2, 6]);
     }
 
     #[test]
-    fn sharded_accessors_refuse_flat_view() {
-        let cols = vec![Column::Int(vec![1, 2, 3, 4])];
-        let set = IndexSet::build_serial(&cols, &ShardMap::new(2, 4));
-        assert_eq!(set.shard_count(), 2);
-        assert!(set.sorted(AttrId(0)).is_none(), "multi-shard: iterate shards()");
-        assert!(set.attr(AttrId(0)).is_none());
-        assert!(set.shards()[0].sorted(AttrId(0)).is_some());
-    }
-
-    #[test]
     fn sharded_build_honors_budget() {
-        let cols = vec![Column::Int((0..100).collect())];
-        let map = ShardMap::new(10, 100);
+        let ints: Vec<i64> = (0..100).collect();
+        let cats = vec!["x"; 100];
         let gas = qcat_fault::Budget::UNLIMITED
             .with_deadline(std::time::Duration::ZERO)
             .start();
         for threads in [1, 4] {
-            let err = qcat_fault::with_budget(&gas, || {
-                IndexSet::build_sharded(&cols, &map, threads).unwrap_err()
-            });
+            let r = relation(&cats, &ints, 10);
+            let err = qcat_fault::with_budget(&gas, || r.try_build_indexes(threads).unwrap_err());
             assert!(
                 matches!(err, PoolError::Cancelled(qcat_fault::BudgetExceeded::Deadline)),
                 "threads={threads}"
+            );
+            assert!(
+                !r.has_indexes(),
+                "a refused build leaves no partial index set"
             );
         }
     }
 
     #[test]
     fn empty_relation_builds_one_empty_shard() {
-        let cols = vec![Column::Int(vec![])];
-        let set = IndexSet::build(&cols);
-        assert_eq!(set.shard_count(), 1);
-        assert!(set.sorted(AttrId(0)).unwrap().is_empty());
+        let r = relation(&[], &[], 0);
+        r.build_indexes();
+        assert_eq!(r.shards().shard_count(), 1);
+        assert!(r.shards()[0]
+            .indexes()
+            .unwrap()
+            .sorted(AttrId(1))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -688,17 +573,23 @@ mod tests {
 
     #[test]
     fn heap_bytes_accumulate() {
-        let cols = vec![cat(&["a", "b"]), Column::Int(vec![1, 2])];
-        let set = IndexSet::build(&cols);
+        let set = build(&[cat(&["a", "b"]), Chunk::Int(vec![1, 2])]);
         assert_eq!(
             set.heap_bytes(),
             set.postings(AttrId(0)).unwrap().heap_bytes()
                 + set.sorted(AttrId(1)).unwrap().heap_bytes()
         );
-        let sharded = IndexSet::build_serial(&cols, &ShardMap::new(1, 2));
-        assert_eq!(
-            sharded.heap_bytes(),
-            sharded.shards().iter().map(|s| s.heap_bytes()).sum::<usize>()
+        let r = relation(&["a", "b"], &[1, 2], 1);
+        r.build_indexes();
+        let index_bytes: usize = r
+            .shards()
+            .iter()
+            .map(|s| s.indexes().unwrap().heap_bytes())
+            .sum();
+        assert!(index_bytes > 0);
+        assert!(
+            r.heap_bytes() > index_bytes,
+            "chunks and summaries count too"
         );
     }
 }

@@ -1,7 +1,10 @@
 //! Transactional append ingest with snapshot-isolated readers.
 //!
 //! [`IngestTable`] wraps a [`Relation`] behind a generation counter.
-//! The protocol is shadow paging over the already-immutable relation:
+//! Every generation is an immutable relation; consecutive generations
+//! share every sealed segment by `Arc`, so a generation owns only its
+//! open tail segment and a pinned snapshot keeps O(tail) memory alive,
+//! never a copy of the table:
 //!
 //! - **Readers** call [`IngestTable::pin`] once at query start and run
 //!   the whole query against the pinned [`IngestSnapshot`]. The
@@ -222,7 +225,7 @@ mod tests {
             .unwrap();
         let delta = &receipt.commit.delta;
         // Numeric attr 1: bounds cover only appended prices.
-        assert_eq!(delta.numeric_bounds(0, 1), Some((50.0, 60.0)));
+        assert_eq!(delta.numeric_bounds(1), Some((50.0, 60.0)));
         // Categorical attr 0: only "kirkland"'s code is present.
         let (dict, _) = receipt
             .snapshot
@@ -232,8 +235,8 @@ mod tests {
             .unwrap();
         let kirkland = dict.lookup("kirkland").unwrap();
         let redmond = dict.lookup("redmond").unwrap();
-        assert!(delta.may_have_code(0, 0, kirkland));
-        assert!(!delta.may_have_code(0, 0, redmond));
+        assert!(delta.may_have_code(0, kirkland));
+        assert!(!delta.may_have_code(0, redmond));
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Immutable columnar relations and their builder.
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{Chunk, Column, ColumnBuilder};
+use crate::dictionary::Dictionary;
 use crate::error::DataError;
-use crate::index::{IndexSet, ShardIndexes};
-use crate::shard::{ShardMap, ShardSummaries};
+use crate::index::ShardIndexes;
+use crate::shard::{locate, Segment, SegmentSummary, Segments};
 use crate::types::{AttrId, Schema};
 use crate::value::Value;
-use qcat_pool::PoolError;
+use qcat_pool::{PoolError, ThreadPool};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// An immutable table: a schema plus one column per attribute, all the
-/// same length.
+/// An immutable table: a schema, one dictionary per categorical
+/// attribute, and an ordered list of [`Segment`]s holding the rows.
 ///
 /// Relations are wrapped in `Arc` internally so cloning is cheap and
 /// result sets / category trees can hold a handle without lifetimes.
+/// Segments are shared by `Arc` too, so generations produced by
+/// appends share every sealed segment.
 #[derive(Clone)]
 pub struct Relation {
     inner: Arc<RelationInner>,
@@ -22,39 +25,44 @@ pub struct Relation {
 
 struct RelationInner {
     schema: Schema,
-    columns: Vec<Column>,
+    /// Per-attribute dictionary (`None` for numeric attributes),
+    /// append-only across generations: codes never change.
+    dicts: Vec<Option<Arc<Dictionary>>>,
+    segments: Segments,
     rows: usize,
-    /// Horizontal shard layout. Columns stay contiguous; the map only
-    /// overlays row ranges, so the default single-shard map is
-    /// byte-for-byte the unsharded layout.
-    shards: ShardMap,
-    /// The builder-requested rows-per-shard (`0` = unsharded), kept
-    /// apart from [`ShardMap`] so an append can lay out the grown
-    /// relation under the same policy: an unsharded base stays one
-    /// shard at any size, a sharded base grows new tail shards.
-    shard_rows_config: usize,
-    /// Per-shard pruning summaries (numeric min/max, categorical
-    /// code presence); present only for multi-shard relations.
-    summaries: Option<ShardSummaries>,
-    /// Secondary indexes, built at freeze time (builder opt-in) or on
-    /// first [`Relation::build_indexes`] call; absent until then so
-    /// plain relations pay nothing.
-    indexes: OnceLock<IndexSet>,
+}
+
+/// Seal `chunks` — rows starting at table row `start` — into segments
+/// of at most `step` rows. Rows that fit one segment move without a
+/// copy.
+fn cut(start: usize, chunks: Vec<Chunk>, step: usize) -> Vec<Segment> {
+    let rows = chunks.first().map_or(0, Chunk::len);
+    if rows <= step {
+        return vec![Segment::new(start, chunks)];
+    }
+    (0..rows)
+        .step_by(step)
+        .map(|s| {
+            let range = s..(s + step).min(rows);
+            let part = chunks.iter().map(|c| Chunk::concat(&[(c, range.clone())])).collect();
+            Segment::new(start + s, part)
+        })
+        .collect()
 }
 
 impl Relation {
-    /// Build a single-shard relation from pre-built columns;
-    /// validates lengths.
-    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Self, DataError> {
+    /// Build a one-segment relation from pre-built columns; validates
+    /// lengths.
+    pub fn from_columns(schema: Schema, columns: Vec<ColumnBuilder>) -> Result<Self, DataError> {
         Relation::from_columns_sharded(schema, columns, 0)
     }
 
-    /// Build a relation from pre-built columns, split into horizontal
-    /// shards of `shard_rows` rows (`0` = unsharded). Multi-shard
-    /// relations get [`ShardSummaries`] built here, in one pass.
+    /// Build a relation from pre-built columns, split into segments of
+    /// `shard_rows` rows (`0` = one segment). Every segment's pruning
+    /// summary is built here, in one pass.
     pub fn from_columns_sharded(
         schema: Schema,
-        columns: Vec<Column>,
+        columns: Vec<ColumnBuilder>,
         shard_rows: usize,
     ) -> Result<Self, DataError> {
         if columns.len() != schema.len() {
@@ -64,7 +72,7 @@ impl Relation {
                 actual: columns.len(),
             });
         }
-        let rows = columns.first().map_or(0, Column::len);
+        let rows = columns.first().map_or(0, ColumnBuilder::len);
         for (field, col) in schema.fields().iter().zip(&columns) {
             if col.len() != rows {
                 return Err(DataError::ColumnLengthMismatch {
@@ -74,23 +82,35 @@ impl Relation {
                 });
             }
         }
-        let shards = ShardMap::new(shard_rows, rows);
-        let summaries = if shards.is_single() {
-            None
-        } else {
-            Some(ShardSummaries::build(&columns, &shards))
-        };
-        Ok(Relation {
+        let (dicts, chunks) = columns
+            .into_iter()
+            .map(|c| {
+                let (dict, chunk) = c.into_parts();
+                (dict.map(Arc::new), chunk)
+            })
+            .unzip();
+        Ok(Relation::assemble(schema, dicts, chunks, shard_rows))
+    }
+
+    /// Lay whole-table `chunks` out as segments of `shard_rows` rows
+    /// (`0` = one segment of every row).
+    fn assemble(
+        schema: Schema,
+        dicts: Vec<Option<Arc<Dictionary>>>,
+        chunks: Vec<Chunk>,
+        shard_rows: usize,
+    ) -> Relation {
+        let rows = chunks.first().map_or(0, Chunk::len);
+        let step = if shard_rows == 0 { rows } else { shard_rows };
+        let list = cut(0, chunks, step).into_iter().map(Arc::new).collect();
+        Relation {
             inner: Arc::new(RelationInner {
                 schema,
-                columns,
+                dicts,
+                segments: Segments { shard_rows, list },
                 rows,
-                shards,
-                shard_rows_config: shard_rows,
-                summaries,
-                indexes: OnceLock::new(),
             }),
-        })
+        }
     }
 
     /// Stage an append batch against this relation. Rows pushed into
@@ -104,17 +124,17 @@ impl Relation {
             .schema
             .fields()
             .iter()
-            .zip(&self.inner.columns)
-            .map(|(field, col)| match col {
+            .zip(&self.inner.dicts)
+            .map(|(field, dict)| match dict {
                 // Seed categorical builders with a clone of the base
                 // dictionary so tail rows intern to codes consistent
                 // with the base encoding (existing values reuse their
                 // code, new values extend the dictionary).
-                Column::Categorical { dict, .. } => ColumnBuilder::Categorical {
-                    dict: dict.clone(),
+                Some(dict) => ColumnBuilder::Categorical {
+                    dict: Dictionary::clone(dict),
                     codes: Vec::new(),
                 },
-                _ => ColumnBuilder::with_capacity(field.ty, 0),
+                None => ColumnBuilder::with_capacity(field.ty, 0),
             })
             .collect();
         TailAppend {
@@ -123,65 +143,84 @@ impl Relation {
         }
     }
 
-    /// The relation's shard layout (single shard unless the builder
-    /// requested otherwise).
-    pub fn shards(&self) -> &ShardMap {
-        &self.inner.shards
+    /// The relation's segments, in row order, with their layout
+    /// policy.
+    pub fn shards(&self) -> &Segments {
+        &self.inner.segments
     }
 
-    /// Per-shard pruning summaries; `None` for single-shard relations
-    /// (there is nothing to skip).
-    pub fn shard_summaries(&self) -> Option<&ShardSummaries> {
-        self.inner.summaries.as_ref()
+    /// True when every segment carries its indexes.
+    pub fn has_indexes(&self) -> bool {
+        self.inner.segments.iter().all(|s| s.indexes().is_some())
     }
 
-    /// The relation's secondary indexes, when they have been built.
-    pub fn indexes(&self) -> Option<&IndexSet> {
-        self.inner.indexes.get()
-    }
-
-    /// Build (or fetch) the secondary indexes for every column,
-    /// fanning per-shard builds out as `qcat-pool` morsels at auto
-    /// thread width.
+    /// Build the secondary indexes of every segment that lacks them,
+    /// fanning segments out as `qcat-pool` morsels at auto thread
+    /// width.
     ///
     /// Idempotent, thread-safe, and infallible: index building is an
     /// idempotent shared investment, so if the morsel build is refused
     /// (tripped budget, injected fault) this falls back to a serial,
     /// checkpoint-free build rather than failing. Budget-aware callers
     /// use [`Relation::try_build_indexes`] to get the refusal instead.
-    pub fn build_indexes(&self) -> &IndexSet {
-        if let Some(set) = self.inner.indexes.get() {
-            return set;
+    pub fn build_indexes(&self) {
+        if self.try_build_indexes(0).is_err() {
+            for seg in self.inner.segments.iter() {
+                seg.indexes
+                    .get_or_init(|| ShardIndexes::build(&seg.chunks, seg.start()));
+            }
         }
-        let set = IndexSet::build_sharded(&self.inner.columns, &self.inner.shards, 0)
-            .unwrap_or_else(|_| IndexSet::build_serial(&self.inner.columns, &self.inner.shards));
-        self.inner.indexes.get_or_init(|| set)
     }
 
     /// Fallible [`Relation::build_indexes`] at an explicit thread
     /// width (`0` = auto): surfaces budget exhaustion and injected
-    /// faults from the per-shard morsels instead of falling back.
-    pub fn try_build_indexes(&self, threads: usize) -> Result<&IndexSet, PoolError> {
-        if let Some(set) = self.inner.indexes.get() {
-            return Ok(set);
+    /// faults from the per-segment morsels instead of falling back.
+    /// Morsels are weighed by rows, so a light build runs inline. A
+    /// refused build installs nothing.
+    pub fn try_build_indexes(&self, threads: usize) -> Result<(), PoolError> {
+        let missing: Vec<(usize, &Arc<Segment>)> = (self.inner.segments.iter().enumerate())
+            .filter(|(_, s)| s.indexes().is_none())
+            .collect();
+        if missing.is_empty() {
+            return Ok(());
         }
-        let set = IndexSet::build_sharded(&self.inner.columns, &self.inner.shards, threads)?;
-        Ok(self.inner.indexes.get_or_init(|| set))
+        let rows = missing.iter().map(|(_, s)| s.len() as u64).sum();
+        let pool = ThreadPool::new(threads);
+        let mut span = qcat_obs::span!(
+            "data.index.build",
+            columns = self.inner.schema.len(),
+            shards = missing.len(),
+            threads = pool.width_for(rows)
+        );
+        let built = pool.try_map_work(&missing, rows, |_, &(i, seg)| {
+            let _item = qcat_obs::span!("data.index.shard", shard = i, rows = seg.len());
+            ShardIndexes::build(&seg.chunks, seg.start())
+        })?;
+        for ((_, seg), ix) in missing.iter().zip(built) {
+            let _ = seg.indexes.set(ix);
+        }
+        if qcat_obs::active() {
+            span.set("heap_bytes", self.heap_bytes());
+        }
+        Ok(())
     }
 
-    /// A new relation over clones of this relation's columns, split
-    /// into horizontal shards of `shard_rows` rows (`0` = unsharded).
-    ///
-    /// Indexes do **not** carry over — a different shard layout
-    /// implies differently-partitioned indexes — so the result starts
-    /// index-free. Benches and equivalence tests use this to compare
-    /// layouts over byte-identical data.
+    /// A new relation over copies of this relation's rows, split into
+    /// segments of `shard_rows` rows (`0` = one segment). Dictionaries
+    /// are shared; indexes do **not** carry over (the result starts
+    /// index-free). `r.resharded(r.shards().shard_rows())` copies `r`
+    /// under the same layout policy. Benches and equivalence tests use
+    /// this to compare layouts over byte-identical data.
     pub fn resharded(&self, shard_rows: usize) -> Result<Relation, DataError> {
-        Relation::from_columns_sharded(
-            self.inner.schema.clone(),
-            self.inner.columns.clone(),
-            shard_rows,
-        )
+        let segments = &self.inner.segments;
+        let chunks = (0..self.inner.schema.len())
+            .map(|a| {
+                let parts: Vec<_> = segments.iter().map(|s| (&s.chunks[a], 0..s.len())).collect();
+                Chunk::concat(&parts)
+            })
+            .collect();
+        let (schema, dicts) = (self.inner.schema.clone(), self.inner.dicts.clone());
+        Ok(Relation::assemble(schema, dicts, chunks, shard_rows))
     }
 
     /// The schema.
@@ -200,12 +239,19 @@ impl Relation {
     }
 
     /// Column of attribute `id`.
-    pub fn column(&self, id: AttrId) -> &Column {
-        &self.inner.columns[id.index()]
+    pub fn column(&self, id: AttrId) -> Column<'_> {
+        let attr = id.index();
+        Column {
+            attr,
+            ty: self.inner.schema.fields()[attr].ty,
+            dict: self.inner.dicts[attr].as_deref(),
+            segments: &self.inner.segments,
+            rows: self.inner.rows,
+        }
     }
 
     /// Column by attribute name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column, DataError> {
+    pub fn column_by_name(&self, name: &str) -> Result<Column<'_>, DataError> {
         Ok(self.column(self.inner.schema.resolve(name)?))
     }
 
@@ -219,21 +265,18 @@ impl Relation {
 
     /// One full row as values, in schema order.
     pub fn row(&self, row: usize) -> Result<Vec<Value>, DataError> {
-        if row >= self.inner.rows {
-            return Err(DataError::RowOutOfRange {
-                row,
-                len: self.inner.rows,
-            });
-        }
-        self.inner
-            .columns
+        let out_of_range = DataError::RowOutOfRange {
+            row,
+            len: self.inner.rows,
+        };
+        let Some(seg) = locate(&self.inner.segments, row) else {
+            return Err(out_of_range);
+        };
+        let i = row - seg.start();
+        seg.chunks
             .iter()
-            .map(|c| {
-                c.get(row).ok_or(DataError::RowOutOfRange {
-                    row,
-                    len: self.inner.rows,
-                })
-            })
+            .zip(&self.inner.dicts)
+            .map(|(chunk, dict)| chunk.value(dict.as_deref(), i).ok_or(out_of_range.clone()))
             .collect()
     }
 
@@ -245,6 +288,14 @@ impl Relation {
     /// True when the two handles share storage.
     pub fn same_table(&self, other: &Relation) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Heap bytes held by the segments (chunks, summaries, built
+    /// indexes). Generations share sealed segments; to total several
+    /// generations, sum [`Segment::heap_bytes`] once per distinct
+    /// segment `Arc`.
+    pub fn heap_bytes(&self) -> usize {
+        self.inner.segments.iter().map(|s| s.heap_bytes()).sum()
     }
 }
 
@@ -280,10 +331,9 @@ pub struct AppendCommit {
     pub first_row: usize,
     /// Number of rows the batch appended.
     pub added: usize,
-    /// Per-column min/max/code-presence digest of the appended rows,
-    /// as one synthetic shard (query with `shard = 0`). Codes refer to
-    /// the *committed* relation's dictionaries.
-    pub delta: ShardSummaries,
+    /// Per-column min/max/code-presence digest of the appended rows.
+    /// Codes refer to the *committed* relation's dictionaries.
+    pub delta: SegmentSummary,
 }
 
 impl TailAppend {
@@ -310,18 +360,20 @@ impl TailAppend {
     }
 
     /// Commit the staged batch: assemble a **new** relation holding
-    /// base rows plus the tail, with incrementally maintained shard
-    /// summaries and secondary indexes.
+    /// base rows plus the tail, in O(tail) work and memory.
     ///
-    /// - Shard layout follows the base policy: an unsharded base stays
-    ///   one shard; a sharded base keeps its rows-per-shard and grows
-    ///   tail shards.
-    /// - Summaries and indexes of base shards whose row range is
-    ///   unchanged carry over (indexes by `Arc`, no copy); only the
-    ///   last partial shard and new tail shards are rebuilt. Indexes
-    ///   are maintained only when the base had them built.
+    /// - Every sealed segment of the base carries over by `Arc`:
+    ///   columns, summary and indexes, with no copy.
+    /// - The open tail (a last segment below the seal size: the
+    ///   requested rows per segment, or
+    ///   [`SEGMENT_ROWS`](crate::shard::SEGMENT_ROWS) when unsharded)
+    ///   is rebuilt from its rows plus the batch and sealed at that
+    ///   size. An unsharded base bigger than the seal size is itself
+    ///   sealed, so its first append starts a new tail.
+    /// - Dictionaries the batch did not extend stay shared.
+    /// - Rebuilt segments are indexed only when the base was indexed.
     /// - Fault sites `data.append` (before assembly) and
-    ///   `data.index.delta` (before the delta index build) abort the
+    ///   `data.index.delta` (before the tail index build) abort the
     ///   commit with [`DataError::Fault`]; the base relation is
     ///   untouched either way.
     pub fn commit(self) -> Result<AppendCommit, DataError> {
@@ -329,96 +381,63 @@ impl TailAppend {
             return Err(DataError::Fault { site: fault.site });
         }
         let base = &self.base.inner;
-        let added = self.builders.first().map_or(0, ColumnBuilder::len);
+        let added = self.staged();
         let first_row = base.rows;
-        let new_rows = base.rows + added;
         let mut span = qcat_obs::span!("data.append.commit", base_rows = base.rows, added = added);
-        let columns: Vec<Column> = base
-            .columns
-            .iter()
-            .zip(self.builders)
-            .map(|(col, b)| append_column(col, b))
-            .collect();
-        let shards = ShardMap::new(base.shard_rows_config, new_rows);
-        // A base shard carries over iff the new layout gives it the
-        // exact same row range (append-only: those rows are unchanged).
-        // The last partial shard and any new tail shards are dirty.
-        let first_dirty = (0..shards.shard_count())
-            .take_while(|&s| {
-                s < base.shards.shard_count() && shards.bounds(s) == base.shards.bounds(s)
-            })
-            .count();
-        let summaries = if shards.is_single() {
-            None
-        } else if let Some(existing) = &base.summaries {
-            Some(existing.extended(&columns, &shards, first_dirty))
-        } else {
-            Some(ShardSummaries::build(&columns, &shards))
-        };
-        let delta = ShardSummaries::build_range(&columns, first_row, new_rows);
-        let indexes = OnceLock::new();
-        if let Some(base_set) = base.indexes.get() {
+        let mut dicts = Vec::with_capacity(base.dicts.len());
+        let mut delta = Vec::with_capacity(base.dicts.len());
+        for (old, builder) in base.dicts.iter().zip(self.builders) {
+            let (dict, chunk) = builder.into_parts();
+            dicts.push(match (old, dict) {
+                (Some(old), Some(d)) if d.len() == old.len() => Some(Arc::clone(old)),
+                (_, d) => d.map(Arc::new),
+            });
+            delta.push(chunk);
+        }
+        let summary = SegmentSummary::build(&delta);
+        let indexed = self.base.has_indexes();
+        if indexed {
             if let Some(fault) = qcat_fault::point("data.index.delta") {
                 return Err(DataError::Fault { site: fault.site });
             }
-            let mut shard_indexes: Vec<Arc<ShardIndexes>> =
-                base_set.shards()[..first_dirty.min(base_set.shard_count())].to_vec();
-            for s in shard_indexes.len()..shards.shard_count() {
-                let (start, end) = shards.bounds(s);
-                shard_indexes.push(Arc::new(ShardIndexes::build(&columns, start, end)));
-            }
-            let _ = indexes.set(IndexSet::from_shards(shard_indexes));
         }
-        if qcat_obs::active() {
-            span.set("dirty_shards", shards.shard_count() - first_dirty);
+        let seal = base.segments.seal_rows();
+        let mut list = base.segments.to_vec();
+        if added > 0 {
+            let open = match list.last() {
+                Some(last) if last.len() < seal => list.pop(),
+                _ => None,
+            };
+            let (start, rows) = match open {
+                Some(open) => {
+                    let rows = open.chunks.iter().zip(&delta);
+                    let concat = |(old, new): (&Chunk, &Chunk)| {
+                        Chunk::concat(&[(old, 0..old.len()), (new, 0..added)])
+                    };
+                    (open.start(), rows.map(concat).collect())
+                }
+                None => (first_row, delta),
+            };
+            let fresh = cut(start, rows, seal);
+            if qcat_obs::active() {
+                span.set("dirty_shards", fresh.len());
+            }
+            for seg in fresh {
+                if indexed {
+                    let _ = seg.indexes.set(ShardIndexes::build(&seg.chunks, seg.start()));
+                }
+                list.push(Arc::new(seg));
+            }
         }
         let relation = Relation {
             inner: Arc::new(RelationInner {
                 schema: base.schema.clone(),
-                columns,
-                rows: new_rows,
-                shards,
-                shard_rows_config: base.shard_rows_config,
-                summaries,
-                indexes,
+                dicts,
+                segments: Segments { shard_rows: base.segments.shard_rows, list },
+                rows: first_row + added,
             }),
         };
-        Ok(AppendCommit {
-            relation,
-            first_row,
-            added,
-            delta,
-        })
-    }
-}
-
-/// Extend a base column with a staged tail builder into a new column.
-fn append_column(base: &Column, tail: ColumnBuilder) -> Column {
-    match (base, tail.finish()) {
-        (Column::Categorical { codes, .. }, Column::Categorical { dict, codes: tail_codes }) => {
-            // The tail dictionary was seeded from the base dictionary,
-            // so it is a superset with identical codes for base values.
-            let mut all = Vec::with_capacity(codes.len() + tail_codes.len());
-            all.extend_from_slice(codes);
-            all.extend_from_slice(&tail_codes);
-            Column::Categorical { dict, codes: all }
-        }
-        (Column::Int(v), Column::Int(t)) => {
-            let mut all = Vec::with_capacity(v.len() + t.len());
-            all.extend_from_slice(v);
-            all.extend_from_slice(&t);
-            Column::Int(all)
-        }
-        (Column::Float(v), Column::Float(t)) => {
-            let mut all = Vec::with_capacity(v.len() + t.len());
-            all.extend_from_slice(v);
-            all.extend_from_slice(&t);
-            Column::Float(all)
-        }
-        // Builders are constructed from the base columns in
-        // `begin_append`, so the types always line up; an empty tail of
-        // the right shape is the safe fallback.
-        (base, _) => base.clone(),
+        Ok(AppendCommit { relation, first_row, added, delta: summary })
     }
 }
 
@@ -486,25 +505,25 @@ impl RelationBuilder {
         }
     }
 
-    /// Opt in to building the [`IndexSet`] when the relation is
-    /// frozen, so it is ready before the first query arrives.
+    /// Opt in to building the segment indexes when the relation is
+    /// frozen, so they are ready before the first query arrives.
     pub fn with_indexes(mut self) -> Self {
         self.build_indexes = true;
         self
     }
 
-    /// Split the frozen relation into horizontal shards of
-    /// `shard_rows` rows (`0`, the default, keeps it unsharded).
-    /// Sharding changes how work is scheduled — per-shard index-build
-    /// and scan morsels, per-shard pruning — never which rows any
-    /// query returns.
+    /// Split the frozen relation into segments of `shard_rows` rows
+    /// (`0`, the default, keeps it one segment until its first
+    /// append). The layout changes how work is scheduled — per-segment
+    /// index-build and scan morsels, per-segment pruning — never which
+    /// rows any query returns.
     pub fn with_shard_rows(mut self, shard_rows: usize) -> Self {
         self.shard_rows = shard_rows;
         self
     }
 
     /// Reorder rows by `attr` at freeze time (stable: ties keep input
-    /// order), so shard min/max and code-presence summaries cover
+    /// order), so segment min/max and code-presence summaries cover
     /// narrow, disjoint value ranges and actually prune. Categorical
     /// attributes cluster lexicographically, numeric ones by value.
     /// Row *ids* are assigned after the reorder, so every downstream
@@ -541,31 +560,17 @@ impl RelationBuilder {
         self.len() == 0
     }
 
-    /// Direct mutable access to a column builder, for bulk typed loads
-    /// (the data generator fills columns one at a time). The caller
-    /// must keep all columns the same length; [`RelationBuilder::finish`]
-    /// re-validates.
-    pub fn column_builder(&mut self, id: AttrId) -> &mut ColumnBuilder {
-        &mut self.builders[id.index()]
-    }
-
     /// Freeze into an immutable [`Relation`]. When
-    /// [`RelationBuilder::with_indexes`] was requested, the
-    /// [`IndexSet`] is built here, at freeze time.
+    /// [`RelationBuilder::with_indexes`] was requested, the segment
+    /// indexes are built here, at freeze time.
     pub fn finish(self) -> Result<Relation, DataError> {
-        let mut columns: Vec<Column> = self
-            .builders
-            .into_iter()
-            .map(ColumnBuilder::finish)
-            .collect();
+        let mut columns = self.builders;
         if let Some(attr) = self.cluster {
             let key = columns
                 .get(attr.index())
                 .ok_or(DataError::AttributeIdOutOfRange(attr.index()))?;
             let perm = cluster_permutation(key);
-            for col in &mut columns {
-                *col = gather(col, &perm);
-            }
+            columns = columns.into_iter().map(|c| gather(c, &perm)).collect();
         }
         let relation = Relation::from_columns_sharded(self.schema, columns, self.shard_rows)?;
         if self.build_indexes {
@@ -578,12 +583,12 @@ impl RelationBuilder {
 /// The row permutation that clusters `col`'s values: row positions
 /// sorted by value (categorical: lexicographic by dictionary string;
 /// numeric: by value), stable on input order.
-fn cluster_permutation(col: &Column) -> Vec<u32> {
+fn cluster_permutation(col: &ColumnBuilder) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..col.len() as u32).collect();
     match col {
-        Column::Categorical { dict, codes } => {
+        ColumnBuilder::Categorical { dict, codes } => {
             // Codes intern in first-seen order, so rank them by their
-            // string value first — clustered shards then cover
+            // string value first — clustered segments then cover
             // contiguous lexicographic ranges.
             let mut order: Vec<u32> = (0..dict.len() as u32).collect();
             order.sort_unstable_by(|&a, &b| {
@@ -595,25 +600,25 @@ fn cluster_permutation(col: &Column) -> Vec<u32> {
             }
             perm.sort_unstable_by_key(|&r| (rank[codes[r as usize] as usize], r));
         }
-        Column::Int(v) => perm.sort_unstable_by_key(|&r| (v[r as usize], r)),
-        Column::Float(v) => perm.sort_unstable_by(|&a, &b| {
-            v[a as usize]
-                .total_cmp(&v[b as usize])
-                .then(a.cmp(&b))
-        }),
+        ColumnBuilder::Int(v) => perm.sort_unstable_by_key(|&r| (v[r as usize], r)),
+        ColumnBuilder::Float(v) => {
+            perm.sort_unstable_by(|&a, &b| v[a as usize].total_cmp(&v[b as usize]).then(a.cmp(&b)))
+        }
     }
     perm
 }
 
-/// Gather `col`'s rows in `perm` order into a new column.
-fn gather(col: &Column, perm: &[u32]) -> Column {
+/// Gather `col`'s rows in `perm` order.
+fn gather(col: ColumnBuilder, perm: &[u32]) -> ColumnBuilder {
     match col {
-        Column::Categorical { dict, codes } => Column::Categorical {
-            dict: dict.clone(),
+        ColumnBuilder::Categorical { dict, codes } => ColumnBuilder::Categorical {
+            dict,
             codes: perm.iter().map(|&r| codes[r as usize]).collect(),
         },
-        Column::Int(v) => Column::Int(perm.iter().map(|&r| v[r as usize]).collect()),
-        Column::Float(v) => Column::Float(perm.iter().map(|&r| v[r as usize]).collect()),
+        ColumnBuilder::Int(v) => ColumnBuilder::Int(perm.iter().map(|&r| v[r as usize]).collect()),
+        ColumnBuilder::Float(v) => {
+            ColumnBuilder::Float(perm.iter().map(|&r| v[r as usize]).collect())
+        }
     }
 }
 
@@ -702,7 +707,10 @@ mod tests {
 
     #[test]
     fn mismatched_column_lengths_rejected() {
-        let cols = vec![Column::Int(vec![1, 2, 3]), Column::Float(vec![1.0])];
+        let cols = vec![
+            ColumnBuilder::Int(vec![1, 2, 3]),
+            ColumnBuilder::Float(vec![1.0]),
+        ];
         let s = Schema::new(vec![
             Field::new("a", AttrType::Int),
             Field::new("b", AttrType::Float),
@@ -744,14 +752,14 @@ mod tests {
     #[test]
     fn indexes_opt_in_at_freeze() {
         let r = sample();
-        assert!(r.indexes().is_none(), "plain freeze builds no indexes");
+        assert!(!r.has_indexes(), "plain freeze builds no indexes");
         let mut b = RelationBuilder::with_capacity(schema(), 1);
         b.push_row(&["Redmond".into(), 250_000.0.into(), 3.into()])
             .unwrap();
         let indexed = b.with_indexes().finish().unwrap();
-        assert!(indexed.indexes().is_some());
+        assert!(indexed.has_indexes());
         assert_eq!(
-            indexed
+            indexed.shards()[0]
                 .indexes()
                 .unwrap()
                 .postings(AttrId(0))
@@ -764,9 +772,15 @@ mod tests {
     #[test]
     fn default_relation_is_single_shard() {
         let r = sample();
-        assert!(r.shards().is_single());
+        assert_eq!(r.shards().shard_count(), 1);
+        assert_eq!(r.shards().shard_rows(), 0);
         assert_eq!(r.shards().bounds(0), (0, 3));
-        assert!(r.shard_summaries().is_none(), "no summaries to pay for");
+        let s = r.shards()[0].summary();
+        assert_eq!(
+            s.numeric_bounds(2),
+            Some((2.0, 4.0)),
+            "one segment, still summarized"
+        );
     }
 
     #[test]
@@ -783,11 +797,11 @@ mod tests {
         let r = b.finish().unwrap();
         assert_eq!(r.shards().shard_count(), 3);
         assert_eq!(r.shards().bounds(2), (4, 5), "last shard holds 1 row");
-        let s = r.shard_summaries().expect("sharded relations summarize");
-        assert_eq!(s.numeric_bounds(0, 2), Some((0.0, 1.0)));
-        assert_eq!(s.numeric_bounds(2, 2), Some((4.0, 4.0)));
+        assert_eq!(r.shards()[0].summary().numeric_bounds(2), Some((0.0, 1.0)));
+        assert_eq!(r.shards()[2].summary().numeric_bounds(2), Some((4.0, 4.0)));
         // Reads are unchanged by sharding.
         assert_eq!(r.value(4, AttrId(2)).unwrap(), Value::Int(4));
+        assert_eq!(r.row(3).unwrap()[2], Value::Int(3));
         assert_eq!(r.all_row_ids(), vec![0, 1, 2, 3, 4]);
     }
 
@@ -800,16 +814,13 @@ mod tests {
             b.push_row(&["Redmond".into(), 1.0.into(), i.into()]).unwrap();
         }
         let r = b.finish().unwrap();
-        let set = r.indexes().unwrap();
-        assert_eq!(set.shard_count(), 2);
-        // Shard 1's postings carry global row ids.
-        assert_eq!(
-            set.shards()[1].postings(AttrId(0)).unwrap().rows_for_code(0),
-            &[2, 3]
-        );
-        // try_build_indexes returns the cached set once built.
-        let cached = r.try_build_indexes(8).unwrap() as *const _;
-        assert_eq!(cached, set as *const _);
+        assert_eq!(r.shards().shard_count(), 2);
+        // Segment 1's postings carry global row ids.
+        let seg1 = r.shards()[1].indexes().unwrap();
+        assert_eq!(seg1.postings(AttrId(0)).unwrap().rows_for_code(0), &[2, 3]);
+        // try_build_indexes keeps the indexes already built.
+        r.try_build_indexes(8).unwrap();
+        assert!(std::ptr::eq(seg1, r.shards()[1].indexes().unwrap()));
     }
 
     #[test]
@@ -833,48 +844,52 @@ mod tests {
         let grown = commit.relation;
         assert_eq!(grown.len(), 7);
         assert_eq!(grown.shards().shard_count(), 4);
-        let (base_set, grown_set) = (base.indexes().unwrap(), grown.indexes().unwrap());
-        // Shards 0 and 1 cover unchanged row ranges: shared by Arc.
+        // Segments 0 and 1 are sealed: columns, summary and index are
+        // shared by Arc, not copied or rebuilt.
         for s in 0..2 {
-            assert!(
-                Arc::ptr_eq(&base_set.shards()[s], &grown_set.shards()[s]),
-                "clean shard {s} must carry over without a rebuild"
-            );
+            let (old, new) = (&base.shards()[s], &grown.shards()[s]);
+            assert!(Arc::ptr_eq(old, new), "sealed segment {s} must carry over");
+            assert!(std::ptr::eq(old.indexes().unwrap(), new.indexes().unwrap()));
+            assert!(std::ptr::eq(old.summary(), new.summary()));
+            assert!(std::ptr::eq(&old.chunks()[1], &new.chunks()[1]));
         }
-        // The old partial shard 2 and new shard 3 are freshly built,
-        // with global row ids and the grown dictionary.
-        let (dict, _) = grown.column(AttrId(0)).categorical().unwrap();
+        // The old open tail (segment 2) and the new segment 3 are
+        // freshly built, with global row ids and the grown dictionary.
+        let dict = grown.column(AttrId(0)).dictionary().unwrap();
         let kirkland = dict.lookup("Kirkland").unwrap();
-        assert_eq!(
-            grown_set.shards()[2].postings(AttrId(0)).unwrap().rows_for_code(kirkland),
-            &[5]
-        );
-        assert_eq!(
-            grown_set.shards()[3].postings(AttrId(0)).unwrap().rows_for_code(kirkland),
-            &[6]
-        );
-        // Carried base shards conservatively report no Kirkland rows.
-        assert_eq!(
-            grown_set.shards()[0].postings(AttrId(0)).unwrap().rows_for_code(kirkland),
-            &[] as &[u32]
-        );
+        let postings = |s: usize| {
+            grown.shards()[s]
+                .indexes()
+                .unwrap()
+                .postings(AttrId(0))
+                .unwrap()
+        };
+        assert_eq!(postings(2).rows_for_code(kirkland), &[5]);
+        assert_eq!(postings(3).rows_for_code(kirkland), &[6]);
+        // Carried segments report no Kirkland rows.
+        assert_eq!(postings(0).rows_for_code(kirkland), &[] as &[u32]);
         // Incrementally maintained state matches a from-scratch build.
         let rebuilt = grown.resharded(2).unwrap();
-        let fresh = rebuilt.build_indexes();
+        rebuilt.build_indexes();
         for s in 0..4 {
-            let (a, b) = (&grown_set.shards()[s], &fresh.shards()[s]);
+            let sorted = |r: &Relation| {
+                let ix = r.shards()[s].indexes().unwrap().sorted(AttrId(1)).unwrap();
+                ix.slice_in(f64::NEG_INFINITY, true, f64::INFINITY, true)
+                    .to_vec()
+            };
             assert_eq!(
-                a.sorted(AttrId(1)).unwrap().slice_in(f64::NEG_INFINITY, true, f64::INFINITY, true),
-                b.sorted(AttrId(1)).unwrap().slice_in(f64::NEG_INFINITY, true, f64::INFINITY, true),
+                sorted(&grown),
+                sorted(&rebuilt),
                 "shard {s} sorted projection"
             );
         }
-        // Summaries carried + extended: tail shard bounds are tight.
-        let sums = grown.shard_summaries().unwrap();
-        assert_eq!(sums.shard_count(), 4);
-        assert_eq!(sums.numeric_bounds(3, 1), Some((98.0, 98.0)));
-        assert!(sums.may_have_code(2, 0, kirkland));
-        assert!(!sums.may_have_code(0, 0, kirkland));
+        // Tail segment summaries are tight.
+        assert_eq!(
+            grown.shards()[3].summary().numeric_bounds(1),
+            Some((98.0, 98.0))
+        );
+        assert!(grown.shards()[2].summary().may_have_code(0, kirkland));
+        assert!(!grown.shards()[0].summary().may_have_code(0, kirkland));
     }
 
     #[test]
@@ -885,11 +900,16 @@ mod tests {
         tail.push_row(&["Kirkland".into(), 1.0.into(), 1.into()])
             .unwrap();
         let grown = tail.commit().unwrap().relation;
-        assert!(grown.shards().is_single());
-        assert!(grown.shard_summaries().is_none());
+        // A base below the seal size is the open tail: one segment.
+        assert_eq!(grown.shards().shard_count(), 1);
+        assert_eq!(grown.shards().shard_rows(), 0);
         assert_eq!(grown.len(), 4);
-        // The single shard was dirty: indexes rebuilt over all rows.
-        let s = grown.indexes().unwrap().sorted(AttrId(1)).unwrap();
+        // The open segment was rebuilt: indexes cover all rows.
+        let s = grown.shards()[0]
+            .indexes()
+            .unwrap()
+            .sorted(AttrId(1))
+            .unwrap();
         assert_eq!(s.len(), 4);
         assert_eq!(grown.row(3).unwrap()[0], Value::from("Kirkland"));
         // Base relation is untouched.
@@ -903,7 +923,7 @@ mod tests {
         tail.push_row(&["Kirkland".into(), 1.0.into(), 1.into()])
             .unwrap();
         let grown = tail.commit().unwrap().relation;
-        assert!(grown.indexes().is_none(), "no indexes to maintain");
+        assert!(!grown.has_indexes(), "no indexes to maintain");
     }
 
     #[test]
@@ -926,11 +946,10 @@ mod tests {
         assert!(codes[4..].iter().all(|&c| c != aurora));
         // Ties keep input order: prices stay ascending within a city.
         let prices = r.column(AttrId(1)).floats().unwrap();
-        assert_eq!(prices, &[0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0]);
-        // Summaries now prove absence per shard.
-        let s = r.shard_summaries().unwrap();
-        assert!(s.may_have_code(0, 0, aurora));
-        assert!(!s.may_have_code(1, 0, aurora));
+        assert_eq!(&*prices, &[0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0]);
+        // Summaries now prove absence per segment.
+        assert!(r.shards()[0].summary().may_have_code(0, aurora));
+        assert!(!r.shards()[1].summary().may_have_code(0, aurora));
     }
 
     #[test]
@@ -940,7 +959,10 @@ mod tests {
             b.push_row(&["x".into(), p.into(), 0.into()]).unwrap();
         }
         let r = b.finish().unwrap();
-        assert_eq!(r.column(AttrId(1)).floats().unwrap(), &[1.0, 3.0, 5.0, 9.0]);
+        assert_eq!(
+            &*r.column(AttrId(1)).floats().unwrap(),
+            &[1.0, 3.0, 5.0, 9.0]
+        );
         let mut bad = RelationBuilder::new(schema()).cluster_by(AttrId(9));
         bad.push_row(&["x".into(), 1.0.into(), 0.into()]).unwrap();
         assert!(matches!(
@@ -952,14 +974,13 @@ mod tests {
     #[test]
     fn build_indexes_is_idempotent_and_shared() {
         let r = sample();
-        let first = r.build_indexes() as *const _;
-        let again = r.build_indexes() as *const _;
-        assert_eq!(first, again);
+        r.build_indexes();
+        let first = r.shards()[0].indexes().unwrap() as *const _;
+        r.build_indexes();
+        assert_eq!(first, r.shards()[0].indexes().unwrap() as *const _);
         let clone = r.clone();
-        assert!(clone.indexes().is_some(), "handles share the index set");
-        assert_eq!(
-            r.build_indexes().sorted(AttrId(1)).unwrap().len(),
-            r.len()
-        );
+        assert!(clone.has_indexes(), "handles share the indexes");
+        let sorted = r.shards()[0].indexes().unwrap().sorted(AttrId(1)).unwrap();
+        assert_eq!(sorted.len(), r.len());
     }
 }

@@ -240,10 +240,12 @@ fn sort_rows(relation: &Relation, rows: &mut [u32], keys: &[(qcat_data::AttrId, 
     rows.sort_by(|&a, &b| {
         for &(attr, desc) in keys {
             let column = relation.column(attr);
-            let ord = match column.categorical() {
-                Some((dict, codes)) => dict
-                    .value_unchecked(codes[a as usize])
-                    .cmp(dict.value_unchecked(codes[b as usize])),
+            let ord = match column.dictionary() {
+                Some(dict) => {
+                    let value =
+                        |r: u32| column.code_at(r as usize).map(|c| dict.value_unchecked(c));
+                    value(a).cmp(&value(b))
+                }
                 None => {
                     // total_cmp gives missing values (NaN) a stable
                     // position instead of panicking mid-sort.

@@ -3,8 +3,8 @@
 //!
 //! The executor's historical strategy — compile the predicate and
 //! scan every row — costs `O(N)` per query regardless of
-//! selectivity. When the relation carries an
-//! [`IndexSet`](qcat_data::IndexSet), this planner answers each
+//! selectivity. When the relation's segments carry
+//! [`ShardIndexes`](qcat_data::ShardIndexes), this planner answers each
 //! conjunct from the matching index instead:
 //!
 //! - `IN` / `=` on a categorical attribute → union of the postings
@@ -25,30 +25,30 @@
 //! to apply as a **residual** row-at-a-time filter over the candidate
 //! list, exactly like any conjunct no index can answer.
 //!
-//! **Sharded relations.** When the relation is split into horizontal
-//! shards (see `qcat_data::shard`), both paths work per shard:
+//! **Segments.** A relation is a list of segments (see
+//! `qcat_data::shard`), one or many, and both paths work per segment:
 //!
-//! - the scan path fans one morsel per shard through `qcat-pool`
-//!   (budget `Gas` polled per shard and every
-//!   `CANCEL_STRIDE` rows inside one, caller's recorder/trace
-//!   propagated, results concatenated by shard index — byte-identical
-//!   to the serial scan at any thread count);
-//! - the index path reads each conjunct's per-shard lists and
-//!   concatenates them in shard order (global row ids over disjoint
+//! - the scan path runs one morsel per segment through `qcat-pool`,
+//!   weighed by rows, so a light scan runs inline (budget `Gas`
+//!   polled per segment and every `CANCEL_STRIDE` rows inside one,
+//!   caller's recorder/trace propagated, results concatenated by
+//!   segment index — byte-identical at any thread count);
+//! - the index path reads each conjunct's per-segment lists and
+//!   concatenates them in segment order (global row ids over disjoint
 //!   increasing ranges need no merge);
-//! - both paths first **prune** shards the relation's
-//!   [`ShardSummaries`](qcat_data::ShardSummaries) prove cannot match
-//!   — numeric `[min, max]` disjoint from the interval, or no
+//! - both paths first **prune** segments whose
+//!   [`SegmentSummary`](qcat_data::SegmentSummary) proves they cannot
+//!   match — numeric `[min, max]` disjoint from the interval, or no
 //!   accepted dictionary code present. Pruning is proof-based, so it
 //!   changes how much work runs, never which rows come back; exact
-//!   index cardinalities are summed over surviving shards only.
+//!   index cardinalities are summed over surviving segments only.
 //!
 //! Every path yields ascending row ids, so index output is
 //! bit-compatible with scan output; `tests` pin that equality on
-//! every fixture, sharded and not.
+//! every fixture, in every layout.
 
 use crate::executor::ExecError;
-use qcat_data::{intersect_sorted, union_sorted, AttrId, IndexSet, Relation, ShardIndexes};
+use qcat_data::{intersect_sorted, union_sorted, AttrId, Relation, Segment, ShardIndexes};
 use qcat_fault::BudgetExceeded;
 use qcat_pool::{PoolError, ThreadPool};
 use qcat_sql::eval::CompiledPredicate;
@@ -93,8 +93,8 @@ pub struct PlanExplain {
     pub residual_conjuncts: usize,
     /// Total row ids fetched from index lists.
     pub rows_fetched: usize,
-    /// Shards skipped outright because the relation's summaries prove
-    /// no row of theirs can match (0 for unsharded relations).
+    /// Segments skipped outright because their summaries prove no row
+    /// of theirs can match.
     pub shards_pruned: usize,
 }
 
@@ -139,9 +139,8 @@ pub fn select_rows(
 }
 
 /// [`select_rows`] at an explicit thread width (`0` = auto via
-/// `QCAT_THREADS`). Threads only change how sharded scans and index
-/// builds are scheduled; the returned rows are byte-identical at
-/// every width.
+/// `QCAT_THREADS`). Threads only change how segment scans are
+/// scheduled; the returned rows are byte-identical at every width.
 pub fn select_rows_with_threads(
     relation: &Relation,
     query: &NormalizedQuery,
@@ -157,37 +156,31 @@ pub fn select_rows_with_threads(
     if let Some(g) = qcat_fault::current_gas() {
         g.check()?;
     }
-    let indexes = match path {
-        AccessPath::ForceScan => None,
-        AccessPath::Auto | AccessPath::ForceIndex => relation.indexes(),
-    };
-    let Some(indexes) = indexes else {
-        let (rows, pruned) = scan_rows(relation, query, None, threads)?;
-        return Ok((rows, PlanExplain::scan(query.conditions.len(), pruned)));
-    };
+    // Segment pruning mask: which segments could hold a match at all,
+    // judged per condition against their summaries. The AND semantics
+    // of a conjunction let any conjunct's proven miss exclude the
+    // segment for the whole query.
+    let predicate = CompiledPredicate::compile(query, relation)?;
+    let alive = predicate.shard_survival(relation);
+    let shards_pruned = alive.iter().filter(|&&live| !live).count();
+    if path == AccessPath::ForceScan || !relation.has_indexes() {
+        let rows = morsel_scan(relation, &predicate, &alive, threads)?;
+        return Ok((
+            rows,
+            PlanExplain::scan(query.conditions.len(), shards_pruned),
+        ));
+    }
 
     let mut plan_span = qcat_obs::span!("exec.plan", conjuncts = query.conditions.len());
-    // Shard pruning mask: which shards could hold a match at all,
-    // judged per condition against the relation's summaries. The AND
-    // semantics of a conjunction let any conjunct's proven miss
-    // exclude the shard for the whole query.
-    let alive_mask: Option<Vec<bool>> = if relation.shards().is_single() {
-        None
-    } else {
-        CompiledPredicate::compile(query, relation)
-            .map_err(qcat_sql::SqlError::from)?
-            .shard_survival(relation)
-    };
-    let alive = alive_mask.as_deref();
-    let shards_pruned = alive.map_or(0, |a| a.iter().filter(|&&live| !live).count());
     if shards_pruned > 0 {
         qcat_obs::counter("exec.plan.shards_pruned", shards_pruned as i64);
     }
+    let alive = alive.as_slice();
 
     let mut eligible: Vec<IndexConjunct> = Vec::with_capacity(query.conditions.len());
     let mut residual: Vec<AttrId> = Vec::new();
     for (&attr, cond) in &query.conditions {
-        match classify(relation, indexes, attr, cond, alive) {
+        match classify(relation, attr, cond, alive) {
             Some(c) => eligible.push(c),
             None => residual.push(attr),
         }
@@ -210,8 +203,11 @@ pub fn select_rows_with_threads(
     drop(plan_span);
     if !use_index {
         qcat_obs::counter("exec.plan.scan_fallback", 1);
-        let (rows, pruned) = scan_rows(relation, query, None, threads)?;
-        return Ok((rows, PlanExplain::scan(query.conditions.len(), pruned)));
+        let rows = morsel_scan(relation, &predicate, alive, threads)?;
+        return Ok((
+            rows,
+            PlanExplain::scan(query.conditions.len(), shards_pruned),
+        ));
     }
 
     let mut span = qcat_obs::span!("exec.index.select", conjuncts = eligible.len());
@@ -249,7 +245,7 @@ pub fn select_rows_with_threads(
             residual.push(c.attr);
             continue;
         }
-        let list = fetch_rows(indexes, c, alive);
+        let list = fetch_rows(relation, c, alive);
         explain.rows_fetched += list.len();
         explain.index_conjuncts += 1;
         rows = if i == 0 {
@@ -266,8 +262,7 @@ pub fn select_rows_with_threads(
 
     explain.residual_conjuncts = residual.len();
     if !rows.is_empty() && !residual.is_empty() {
-        let (filtered, _) = scan_rows(relation, query, Some((&residual, rows)), threads)?;
-        rows = filtered;
+        rows = residual_filter(relation, query, &residual, &rows)?;
     }
     if qcat_obs::active() {
         span.set("rows_matched", rows.len());
@@ -275,84 +270,67 @@ pub fn select_rows_with_threads(
     Ok((rows, explain))
 }
 
-/// Scan-side evaluation: compile (a subset of) the conditions and
-/// filter row-at-a-time. `restrict` = `(attrs to keep, candidates)`;
-/// `None` compiles everything and scans the whole relation — as one
-/// pass on a single-shard relation, as per-shard pool morsels on a
-/// sharded one. Returns the matching rows plus how many shards were
-/// pruned.
-fn scan_rows(
+/// Residual filter of index-path candidates: compile the conditions
+/// on `attrs` and keep the candidates that pass them.
+fn residual_filter(
     relation: &Relation,
     query: &NormalizedQuery,
-    restrict: Option<(&[AttrId], Vec<u32>)>,
-    threads: usize,
-) -> Result<(Vec<u32>, usize), ExecError> {
+    attrs: &[AttrId],
+    candidates: &[u32],
+) -> Result<Vec<u32>, ExecError> {
     if let Some(fault) = qcat_fault::point("exec.scan") {
         return Err(fault.into());
     }
-    let (predicate, candidates) = match &restrict {
-        None => (CompiledPredicate::compile(query, relation)?, None),
-        Some((attrs, candidates)) => (
-            CompiledPredicate::compile_where(query, relation, |a| attrs.contains(&a))?,
-            Some(candidates.as_slice()),
-        ),
-    };
-    if candidates.is_none() && !relation.shards().is_single() {
-        return morsel_scan(relation, &predicate, threads);
-    }
-    let rows = match qcat_fault::current_gas() {
-        None => predicate.filter(relation, candidates),
+    let predicate = CompiledPredicate::compile_where(query, relation, |a| attrs.contains(&a))?;
+    match qcat_fault::current_gas() {
+        None => Ok(predicate.filter(relation, Some(candidates))),
         Some(gas) => {
             // filter_cancellable polls this closure every
-            // CANCEL_STRIDE rows; a trip mid-scan discards the
+            // CANCEL_STRIDE rows; a trip mid-filter discards the
             // partial result so callers never see truncated rows.
             let mut cancel = || !gas.checkpoint();
             predicate
-                .filter_cancellable(relation, candidates, &mut cancel)
+                .filter_cancellable(relation, Some(candidates), &mut cancel)
                 .ok_or_else(|| {
                     ExecError::Budget(gas.exceeded().unwrap_or(BudgetExceeded::Cancelled))
-                })?
+                })
         }
-    };
-    Ok((rows, 0))
+    }
 }
 
-/// Full scan of a sharded relation: prune shards the summaries rule
-/// out, then filter each survivor as one `qcat-pool` morsel and
-/// concatenate the per-shard matches by shard index. Shard ranges are
-/// disjoint and increasing, so the concatenation is the same
-/// ascending list the serial scan produces.
+/// Full scan: skip the segments `alive` rules out, then filter each
+/// survivor as one `qcat-pool` morsel and concatenate the matches by
+/// segment index. Morsels are weighed by rows, so a scan below one
+/// worker's worth of rows runs inline. Segment ranges are disjoint
+/// and increasing, so the concatenation is ascending.
 fn morsel_scan(
     relation: &Relation,
     predicate: &CompiledPredicate,
+    alive: &[bool],
     threads: usize,
-) -> Result<(Vec<u32>, usize), ExecError> {
-    let map = relation.shards();
-    let alive = predicate.shard_survival(relation);
-    let shard_ids: Vec<usize> = (0..map.shard_count())
-        .filter(|&s| {
-            alive
-                .as_ref()
-                .is_none_or(|a| a.get(s).copied().unwrap_or(true))
-        })
-        .collect();
-    let pruned = map.shard_count() - shard_ids.len();
+) -> Result<Vec<u32>, ExecError> {
+    if let Some(fault) = qcat_fault::point("exec.scan") {
+        return Err(fault.into());
+    }
+    let live: Vec<(usize, &Segment)> = live_segments(relation, alive).collect();
+    let pruned = alive.len() - live.len();
     if pruned > 0 {
         qcat_obs::counter("exec.scan.shards_pruned", pruned as i64);
     }
+    let work = live.iter().map(|(_, seg)| seg.len() as u64).sum();
     let pool = ThreadPool::new(threads);
     let mut span = qcat_obs::span!(
         "exec.scan.morsels",
-        shards = shard_ids.len(),
-        threads = pool.threads()
+        shards = live.len(),
+        threads = pool.width_for(work)
     );
     let parts = pool
-        .try_map(&shard_ids, |_, &s| {
-            let (start, end) = map.bounds(s);
-            let _item = qcat_obs::span!("exec.scan.shard", shard = s, rows = end - start);
+        .try_map_work(&live, work, |_, &(s, seg)| {
+            let _item = qcat_obs::span!("exec.scan.shard", shard = s, rows = seg.len());
             // The worker sees the caller's gas via pool propagation;
-            // polling it inside the shard bounds deadline overshoot
-            // to CANCEL_STRIDE rows, same as the serial scan.
+            // polling it inside the segment bounds deadline overshoot
+            // to CANCEL_STRIDE rows.
+            let (start, end) = (seg.start(), seg.end());
             match qcat_fault::current_gas() {
                 None => predicate.filter_range_cancellable(relation, start, end, &mut || false),
                 Some(gas) => {
@@ -366,7 +344,7 @@ fn morsel_scan(
     for part in parts {
         match part {
             Some(p) => rows.extend_from_slice(&p),
-            // A shard aborted mid-filter on a tripped budget; discard
+            // A segment aborted mid-filter on a tripped budget; discard
             // everything — truncated results never leave the executor.
             None => {
                 let reason = qcat_fault::current_gas()
@@ -379,7 +357,7 @@ fn morsel_scan(
     if qcat_obs::active() {
         span.set("rows_matched", rows.len());
     }
-    Ok((rows, pruned))
+    Ok(rows)
 }
 
 /// Map a pool failure out of a scan/index-build morsel onto the
@@ -394,40 +372,43 @@ fn pool_to_exec(e: PoolError) -> ExecError {
     }
 }
 
-/// Iterate the shards of `indexes` that survive `alive` (`None` =
-/// everything survives).
-fn live_shards<'a>(
-    indexes: &'a IndexSet,
-    alive: Option<&'a [bool]>,
+/// The segments of `relation` that survive `alive`, with their index.
+fn live_segments<'a>(
+    relation: &'a Relation,
+    alive: &'a [bool],
+) -> impl Iterator<Item = (usize, &'a Segment)> + 'a {
+    (relation.shards().iter().enumerate())
+        .filter(move |(i, _)| alive.get(*i).copied().unwrap_or(true))
+        .map(|(i, seg)| (i, &**seg))
+}
+
+/// The indexes of the segments that survive `alive`.
+fn live_indexes<'a>(
+    relation: &'a Relation,
+    alive: &'a [bool],
 ) -> impl Iterator<Item = &'a ShardIndexes> + 'a {
-    indexes
-        .shards()
-        .iter()
-        .enumerate()
-        .filter(move |(i, _)| alive.is_none_or(|a| a.get(*i).copied().unwrap_or(true)))
-        .map(|(_, sh)| &**sh)
+    live_segments(relation, alive).filter_map(|(_, seg)| seg.indexes())
 }
 
 /// Can `cond` be answered by an index on `attr`? Returns the conjunct
-/// with its exact cardinality summed over surviving shards; `None`
+/// with its exact cardinality summed over surviving segments; `None`
 /// routes it to the residual filter (which also surfaces any
 /// type-drift error the scan path would report).
 fn classify(
     relation: &Relation,
-    indexes: &IndexSet,
     attr: AttrId,
     cond: &AttrCondition,
-    alive: Option<&[bool]>,
+    alive: &[bool],
 ) -> Option<IndexConjunct> {
-    // Every shard indexes the same columns; shard 0 (always present)
-    // answers "is this attribute indexed in the right shape?".
-    let shape = &indexes.shards()[0];
+    // Every segment indexes the same columns; segment 0 (always
+    // present) answers "is this attribute indexed in the right shape?".
+    let shape = relation.shards().first()?.indexes()?;
     match cond {
         AttrCondition::InStr(values) => {
             shape.postings(attr)?;
-            let (dict, _) = relation.column(attr).categorical()?;
+            let dict = relation.column(attr).dictionary()?;
             let codes: Vec<u32> = values.iter().filter_map(|v| dict.lookup(v)).collect();
-            let est = live_shards(indexes, alive)
+            let est = live_indexes(relation, alive)
                 .map(|sh| {
                     sh.postings(attr).map_or(0, |p| {
                         codes.iter().map(|&c| p.count_for_code(c)).sum::<usize>()
@@ -445,7 +426,7 @@ fn classify(
             let est = if r.is_empty() {
                 0
             } else {
-                live_shards(indexes, alive)
+                live_indexes(relation, alive)
                     .map(|sh| {
                         sh.sorted(attr)
                             .map_or(0, |s| s.count_in(r.lo, r.lo_inclusive, r.hi, r.hi_inclusive))
@@ -460,7 +441,7 @@ fn classify(
         }
         AttrCondition::InNum(values) => {
             shape.sorted(attr)?;
-            let est = live_shards(indexes, alive)
+            let est = live_indexes(relation, alive)
                 .map(|sh| {
                     sh.sorted(attr).map_or(0, |s| {
                         values.iter().map(|&v| s.count_eq(v)).sum::<usize>()
@@ -477,12 +458,12 @@ fn classify(
 }
 
 /// Materialize the ascending row-id list of one index conjunct:
-/// per-shard lists (borrowed from the index wherever possible),
-/// concatenated in shard order. Row ids are global and shard ranges
-/// increase, so the concatenation is globally ascending.
-fn fetch_rows(indexes: &IndexSet, c: &IndexConjunct, alive: Option<&[bool]>) -> Vec<u32> {
+/// per-segment lists (borrowed from the index wherever possible),
+/// concatenated in segment order. Row ids are global and segment
+/// ranges increase, so the concatenation is globally ascending.
+fn fetch_rows(relation: &Relation, c: &IndexConjunct, alive: &[bool]) -> Vec<u32> {
     let mut out = Vec::new();
-    for sh in live_shards(indexes, alive) {
+    for sh in live_indexes(relation, alive) {
         match &c.fetch {
             Fetch::Codes(codes) => {
                 let Some(postings) = sh.postings(c.attr) else {
@@ -502,7 +483,7 @@ fn fetch_rows(indexes: &IndexSet, c: &IndexConjunct, alive: Option<&[bool]>) -> 
                     continue;
                 }
                 // The projection slice is value-ordered; one copy +
-                // sort per (probe, shard) restores table order. This
+                // sort per (probe, segment) restores table order. This
                 // is the only copy an index probe makes.
                 let from = out.len();
                 out.extend_from_slice(sorted.slice_in(r.lo, r.lo_inclusive, r.hi, r.hi_inclusive));
@@ -611,7 +592,7 @@ mod tests {
         assert!(e.used_index);
         assert_eq!(e.index_conjuncts, 1);
         assert_eq!(e.residual_conjuncts, 0);
-        assert_eq!(e.shards_pruned, 0, "single shard: nothing to prune");
+        assert_eq!(e.shards_pruned, 0, "the one segment holds Issaquah");
     }
 
     #[test]

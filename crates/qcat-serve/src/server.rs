@@ -6,7 +6,7 @@ use crate::fingerprint::fingerprint;
 use crate::speculate::{SpecOutcome, SpeculateConfig, SpeculateReport};
 use qcat_core::{render_tree, CategorizeConfig, Categorizer, CategoryTree, DegradeReason};
 use qcat_data::{
-    Catalog, DataError, IngestTable, Relation, ShardSummaries, Value,
+    Catalog, DataError, IngestTable, Relation, SegmentSummary, Value,
 };
 use qcat_sql::AttrCondition;
 use qcat_exec::{execute_normalized_with, execute_residual, AccessPath, ExecError, ResultSet};
@@ -322,7 +322,7 @@ impl Caches {
         &mut self,
         table: &str,
         relation: &Relation,
-        delta: &ShardSummaries,
+        delta: &SegmentSummary,
     ) -> (usize, usize) {
         let Some(bucket) = self.queries.get_mut(table) else {
             return (0, 0);
@@ -348,8 +348,8 @@ impl Caches {
 }
 
 /// Does some conjunct of `query` provably exclude **every** row of the
-/// appended batch summarized by `delta` (a single-shard summary over
-/// exactly the new rows)?
+/// appended batch summarized by `delta` (a summary over exactly the
+/// new rows)?
 ///
 /// - `IN` over strings resolves each value through the *committed*
 ///   relation's dictionary; values the dictionary has never seen match
@@ -363,22 +363,22 @@ impl Caches {
 fn delta_disjoint(
     query: &NormalizedQuery,
     relation: &Relation,
-    delta: &ShardSummaries,
+    delta: &SegmentSummary,
 ) -> bool {
     query.conditions.iter().any(|(&attr, cond)| {
         let a = attr.index();
         match cond {
             AttrCondition::InStr(values) => {
-                let Some((dict, _)) = relation.column(attr).categorical() else {
+                let Some(dict) = relation.column(attr).dictionary() else {
                     return false;
                 };
                 let codes: Vec<u32> =
                     values.iter().filter_map(|v| dict.lookup(v)).collect();
-                !delta.may_have_any_code(0, a, &codes)
+                !delta.may_have_any_code(a, &codes)
             }
-            AttrCondition::InNum(values) => !delta.may_have_value(0, a, values),
+            AttrCondition::InNum(values) => !delta.may_have_value(a, values),
             AttrCondition::Range(r) => {
-                !delta.may_overlap_range(0, a, r.lo, r.lo_inclusive, r.hi, r.hi_inclusive)
+                !delta.may_overlap_range(a, r.lo, r.lo_inclusive, r.hi, r.hi_inclusive)
             }
         }
     })

@@ -3,11 +3,13 @@
 //! The conditions of a [`NormalizedQuery`] are compiled once per query
 //! (string IN-lists become dictionary-code sets), then applied
 //! column-at-a-time, narrowing a candidate row-id list on each pass —
-//! the classic selection pipeline of a column store.
+//! the classic selection pipeline of a column store. Each pass walks
+//! the candidates one segment run at a time, testing plain chunk
+//! slices.
 
 use crate::error::NormalizeError;
 use crate::normalize::{AttrCondition, NormalizedQuery, NumericRange};
-use qcat_data::{AttrId, Column, Relation};
+use qcat_data::{AttrId, Chunk, Column, Relation};
 
 /// One condition compiled against the physical column it filters.
 #[derive(Debug, Clone)]
@@ -55,8 +57,8 @@ impl CompiledPredicate {
         let mut filters = Vec::with_capacity(query.conditions.len());
         for (&attr, cond) in query.conditions.iter().filter(|(&a, _)| keep(a)) {
             let column = relation.column(attr);
-            let compiled = match (cond, column) {
-                (AttrCondition::InStr(values), Column::Categorical { dict, .. }) => {
+            let compiled = match (cond, column.dictionary()) {
+                (AttrCondition::InStr(values), Some(dict)) => {
                     let mut mask = vec![false; dict.len()];
                     for code in values.iter().filter_map(|v| dict.lookup(v)) {
                         if let Some(on) = mask.get_mut(code as usize) {
@@ -69,14 +71,14 @@ impl CompiledPredicate {
                         CompiledCondition::Nothing
                     }
                 }
-                (AttrCondition::InNum(values), Column::Int(_) | Column::Float(_)) => {
+                (AttrCondition::InNum(values), None) if column.attr_type().is_numeric() => {
                     if values.is_empty() {
                         CompiledCondition::Nothing
                     } else {
                         CompiledCondition::NumSet(values.clone())
                     }
                 }
-                (AttrCondition::Range(r), Column::Int(_) | Column::Float(_)) => {
+                (AttrCondition::Range(r), None) if column.attr_type().is_numeric() => {
                     if r.is_empty() {
                         CompiledCondition::Nothing
                     } else {
@@ -149,40 +151,55 @@ impl CompiledPredicate {
         self.filter_current(relation, current, cancel)
     }
 
-    /// Shared narrowing loop of the two cancellable filters.
+    /// Shared narrowing loop of the two cancellable filters: one pass
+    /// per filter, compacting `current` in place run by run.
     fn filter_current(
         &self,
         relation: &Relation,
         mut current: Vec<u32>,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<u32>> {
-        let mut since_check = 0usize;
-        let mut aborted = false;
+        let mut poll = Poll { since: 0, cancel };
         for (attr, cond) in &self.filters {
             if current.is_empty() {
                 break;
             }
-            let column = relation.column(*attr);
-            // `retain` cannot break early, so after an abort the
-            // remaining rows are dropped without evaluation and the
-            // (now meaningless) pass result is discarded below.
-            current.retain(|&row| {
-                if aborted {
-                    return false;
-                }
-                since_check += 1;
-                if since_check >= Self::CANCEL_STRIDE {
-                    since_check = 0;
-                    if cancel() {
-                        aborted = true;
-                        return false;
+            let runs: Vec<(&Chunk, u32, usize)> = relation
+                .column(*attr)
+                .runs(&current)
+                .map(|(chunk, start, run)| (chunk, start, run.len()))
+                .collect();
+            let (mut read, mut kept) = (0, 0);
+            for (chunk, start, len) in runs {
+                let rows = &mut current[..read + len];
+                let at = |row: u32| (row - start) as usize;
+                let done = match (cond, chunk) {
+                    (CompiledCondition::CodeSet(mask), Chunk::Codes(codes)) => {
+                        compact(rows, read, &mut kept, &mut poll, |r| {
+                            mask.get(codes[at(r)] as usize).copied().unwrap_or(false)
+                        })
                     }
+                    (CompiledCondition::NumSet(values), _) => {
+                        compact(rows, read, &mut kept, &mut poll, |r| {
+                            chunk.numeric(at(r)).is_some_and(|v| {
+                                values.binary_search_by(|p| p.total_cmp(&v)).is_ok()
+                            })
+                        })
+                    }
+                    (CompiledCondition::Range(range), _) => {
+                        compact(rows, read, &mut kept, &mut poll, |r| {
+                            chunk.numeric(at(r)).is_some_and(|v| range.contains(v))
+                        })
+                    }
+                    // `Nothing`, or a code set over a numeric chunk.
+                    _ => compact(rows, read, &mut kept, &mut poll, |_| false),
+                };
+                if !done {
+                    return None;
                 }
-                condition_matches(column, cond, row)
-            });
-            if aborted {
-                return None;
+                read += len;
             }
+            current.truncate(kept);
         }
         Some(current)
     }
@@ -193,21 +210,22 @@ impl CompiledPredicate {
     /// invisible in scan throughput.
     pub const CANCEL_STRIDE: usize = 1024;
 
-    /// Which shards of `relation` could hold a matching row, judged
-    /// against the relation's [`qcat_data::ShardSummaries`].
+    /// Which segments of `relation` could hold a matching row, judged
+    /// against each segment's [`qcat_data::SegmentSummary`]: one bool
+    /// per segment, in row order.
     ///
-    /// `None` when the relation carries no summaries (single shard) —
-    /// there is nothing to skip. Otherwise one bool per shard; `false`
-    /// is a *proof* that no row of the shard satisfies every filter
-    /// (some filter's accepted codes are absent, or its interval /
-    /// value set misses the shard's `[min, max]`), so pruned shards
-    /// can be skipped by scan and index paths alike without changing
-    /// any result. Conditions the summaries cannot judge leave the
-    /// shard alive.
-    pub fn shard_survival(&self, relation: &Relation) -> Option<Vec<bool>> {
-        let summaries = relation.shard_summaries()?;
-        let survival = (0..summaries.shard_count())
-            .map(|shard| {
+    /// `false` is a *proof* that no row of the segment satisfies every
+    /// filter (some filter's accepted codes are absent, or its
+    /// interval / value set misses the segment's `[min, max]`), so
+    /// pruned segments can be skipped by scan and index paths alike
+    /// without changing any result. Conditions the summaries cannot
+    /// judge leave the segment alive.
+    pub fn shard_survival(&self, relation: &Relation) -> Vec<bool> {
+        relation
+            .shards()
+            .iter()
+            .map(|seg| {
+                let summary = seg.summary();
                 self.filters.iter().all(|(attr, cond)| {
                     let a = attr.index();
                     match cond {
@@ -215,23 +233,15 @@ impl CompiledPredicate {
                         CompiledCondition::Nothing => false,
                         CompiledCondition::CodeSet(mask) => (0u32..)
                             .zip(mask)
-                            .any(|(c, &on)| on && summaries.may_have_code(shard, a, c)),
-                        CompiledCondition::NumSet(values) => {
-                            summaries.may_have_value(shard, a, values)
+                            .any(|(c, &on)| on && summary.may_have_code(a, c)),
+                        CompiledCondition::NumSet(values) => summary.may_have_value(a, values),
+                        CompiledCondition::Range(r) => {
+                            summary.may_overlap_range(a, r.lo, r.lo_inclusive, r.hi, r.hi_inclusive)
                         }
-                        CompiledCondition::Range(r) => summaries.may_overlap_range(
-                            shard,
-                            a,
-                            r.lo,
-                            r.lo_inclusive,
-                            r.hi,
-                            r.hi_inclusive,
-                        ),
                     }
                 })
             })
-            .collect();
-        Some(survival)
+            .collect()
     }
 
     /// Number of per-attribute filters.
@@ -245,8 +255,53 @@ impl CompiledPredicate {
     }
 }
 
+/// Cancellation polling shared by every pass of one filter call.
+struct Poll<'c> {
+    since: usize,
+    cancel: &'c mut dyn FnMut() -> bool,
+}
+
+impl Poll<'_> {
+    /// Count one examined row; false once `cancel` fired.
+    #[inline]
+    fn tick(&mut self) -> bool {
+        self.since += 1;
+        if self.since >= CompiledPredicate::CANCEL_STRIDE {
+            self.since = 0;
+            if (self.cancel)() {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Keep the rows of `rows[from..]` that pass `keep`, moving them down
+/// to `rows[*kept..]` (kept never overtakes the read position). False
+/// when cancelled mid-run.
 #[inline]
-fn condition_matches(column: &Column, cond: &CompiledCondition, row: u32) -> bool {
+fn compact(
+    rows: &mut [u32],
+    from: usize,
+    kept: &mut usize,
+    poll: &mut Poll<'_>,
+    keep: impl Fn(u32) -> bool,
+) -> bool {
+    for i in from..rows.len() {
+        if !poll.tick() {
+            return false;
+        }
+        let row = rows[i];
+        if keep(row) {
+            rows[*kept] = row;
+            *kept += 1;
+        }
+    }
+    true
+}
+
+#[inline]
+fn condition_matches(column: Column<'_>, cond: &CompiledCondition, row: u32) -> bool {
     match cond {
         CompiledCondition::Nothing => false,
         CompiledCondition::CodeSet(mask) => column
@@ -523,7 +578,6 @@ mod tests {
             CompiledPredicate::compile(&q, &rel)
                 .unwrap()
                 .shard_survival(&rel)
-                .unwrap()
         };
         assert_eq!(survival("SELECT * FROM t WHERE n IN ('b')"), vec![false, true, false]);
         assert_eq!(survival("SELECT * FROM t WHERE v BETWEEN 9 AND 12"), vec![false, true, false]);
@@ -537,13 +591,16 @@ mod tests {
         );
         // No filters: everything survives.
         assert_eq!(survival("SELECT * FROM t"), vec![true, true, true]);
-        // Unsharded relations have nothing to prune.
-        let q = parse_and_normalize("SELECT * FROM homes WHERE bedroomcount = 3", homes().schema())
-            .unwrap();
-        assert!(CompiledPredicate::compile(&q, &homes())
+        // A one-segment relation is judged like any other.
+        let q = parse_and_normalize(
+            "SELECT * FROM homes WHERE bedroomcount = 6",
+            homes().schema(),
+        )
+        .unwrap();
+        let survival = CompiledPredicate::compile(&q, &homes())
             .unwrap()
-            .shard_survival(&homes())
-            .is_none());
+            .shard_survival(&homes());
+        assert_eq!(survival, vec![false], "no home has 6 bedrooms");
     }
 
     #[test]

@@ -54,17 +54,22 @@ QCAT_LARGE_ROWS=20000 QCAT_LARGE_QUERIES=2000 QCAT_LARGE_SHARD_ROWS=2048 \
 grep -q '"differential": .*"status": "ok"' target/BENCH_large_smoke.json
 grep -q '"determinism": .*"status": "ok"' target/BENCH_large_smoke.json
 
-echo "==> ingest smoke (append latency + selective invalidation retention)"
-# The same code path as the committed BENCH_pr10.json: two warmed
+echo "==> ingest smoke (append latency + selective invalidation retention + commit sweep)"
+# The same code path as the committed BENCH_pr20.json: two warmed
 # servers take identical append rounds; selective invalidation must
 # keep strictly more exact cache hits alive than the whole-table
 # epoch-bump baseline, and every answer the surviving caches serve
 # must be byte-identical to a from-scratch recompute. bench_pipeline
-# exits non-zero if either contract breaks.
+# exits non-zero if either contract breaks. The run ends with the
+# commit-latency sweep over 6k / 60k / 600k-row bases (5 commits
+# each at --runs 2), whose three points must all be reported.
 ./target/release/bench_pipeline --scale ingest --runs 2 --queries 60 \
     --out target/BENCH_ingest_smoke.json > /dev/null
 grep -q '"mismatches": 0, "status": "ok"' target/BENCH_ingest_smoke.json
 grep -q '"retention": .*"status": "ok"' target/BENCH_ingest_smoke.json
+for rows in 6000 60000 600000; do
+    grep -q "\"base_rows\": $rows, " target/BENCH_ingest_smoke.json
+done
 
 echo "==> perf observatory (bench_report --check over committed BENCH_pr*.json)"
 # Trajectory tables land in the artifacts dir (uploaded by CI);

@@ -1,15 +1,15 @@
-//! PR-8 pinning tests: sharding is a scheduling decision, never a
-//! semantic one. A relation split into horizontal shards — scanned as
-//! pool morsels, indexed per shard, pruned by summaries — must return
-//! byte-identical rows and byte-identical category trees to the
-//! single-shard layout, at every thread width and on every access
-//! path.
+//! Pinning tests: the segment layout is a scheduling decision, never a
+//! semantic one. A relation split into segments — by the builder, or
+//! by appends sealing tails — scanned as pool morsels, indexed per
+//! segment, pruned by summaries, must return byte-identical rows and
+//! byte-identical category trees to a one-segment build of the same
+//! rows, at every thread width and on every access path.
 
-use qcat::core::{render_tree, Categorizer};
-use qcat::data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema};
-use qcat::exec::{
-    execute_normalized_with, execute_normalized_with_threads, AccessPath,
+use qcat::core::{
+    attr_cost_categorize, no_cost_categorize, render_tree, BaselineConfig, Categorizer,
 };
+use qcat::data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema, Value, SEGMENT_ROWS};
+use qcat::exec::{execute_normalized_with, execute_normalized_with_threads, AccessPath};
 use qcat::serve::{ServeOutcome, Server, ServerConfig};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale};
@@ -338,4 +338,224 @@ fn workload_sweep_matches_across_layouts() {
         pruned_total > 0,
         "a real workload over banded data should prune at least one shard"
     );
+}
+
+/// `rel`'s first `base` rows frozen under `shard_rows`, indexed, then
+/// its remaining rows appended in `batches` near-equal batches: the
+/// same bytes as `rel`, laid out by appends instead of one build.
+fn regrown(rel: &Relation, base: usize, batches: usize, shard_rows: usize) -> Relation {
+    let row = |r: usize| rel.row(r).unwrap();
+    let mut b = RelationBuilder::new(rel.schema().clone()).with_shard_rows(shard_rows);
+    for r in 0..base {
+        b.push_row(&row(r)).unwrap();
+    }
+    let mut grown = b.with_indexes().finish().unwrap();
+    let per = (rel.len() - base).div_ceil(batches.max(1)).max(1);
+    for start in (base..rel.len()).step_by(per) {
+        let mut tail = grown.begin_append();
+        for r in start..(start + per).min(rel.len()) {
+            tail.push_row(&row(r)).unwrap();
+        }
+        grown = tail.commit().unwrap().relation;
+    }
+    grown
+}
+
+/// Everything a query produces on `rel`: the matched rows and the
+/// rendered trees of every technique — cost-based (categorical and
+/// numeric splits, with and without categorical tail grouping),
+/// No-cost and Attr-cost (equi-width numeric buckets) — on every
+/// access path and thread width.
+fn transcript(env: &StudyEnv, rel: &Relation, sql: &str) -> Vec<String> {
+    let stats = env.stats_for(&env.log);
+    let q = parse_and_normalize(sql, rel.schema()).unwrap();
+    let baseline = BaselineConfig::new(env.baseline_attrs(), &env.config);
+    let mut out = Vec::new();
+    for path in PATHS {
+        for threads in THREAD_WIDTHS {
+            let result = execute_normalized_with_threads(rel, &q, path, threads).unwrap();
+            out.push(format!("{path:?}/{threads}: {:?}", result.rows()));
+            let plain = env.config.with_threads(threads);
+            for config in [plain, plain.with_categorical_grouping(4, 2)] {
+                let tree = Categorizer::new(&stats, config).categorize(&result, Some(&q));
+                out.push(render_tree(&tree, usize::MAX));
+            }
+            out.push(render_tree(
+                &no_cost_categorize(&stats, &baseline, &result),
+                usize::MAX,
+            ));
+            out.push(render_tree(
+                &attr_cost_categorize(&stats, &baseline, &result),
+                usize::MAX,
+            ));
+        }
+    }
+    out
+}
+
+/// Queries whose answers straddle segment boundaries of the regrown
+/// smoke relation (bases below and above `SEGMENT_ROWS`).
+const STRADDLING: [&str; 3] = [
+    "SELECT * FROM listproperty WHERE neighborhood IN \
+     ('Bellevue','Redmond','Kirkland','Issaquah') AND price BETWEEN 150000 AND 500000",
+    "SELECT * FROM listproperty WHERE bedroomcount >= 3 AND square_footage >= 1500",
+    "SELECT * FROM listproperty WHERE price <= 400000",
+];
+
+/// An unsharded base grown by 1, 2 and 40 appends reads exactly like
+/// the one-segment build of the same rows: rows and every technique's
+/// tree, on every path and thread width. The bases sit above and below
+/// the seal size, so the appended tails seal mid-sequence.
+#[test]
+fn unsharded_appends_match_a_fresh_build() {
+    let env = StudyEnv::generate(StudyScale::Smoke, 2020);
+    env.relation.build_indexes();
+    assert!(env.relation.len() > SEGMENT_ROWS && env.relation.len() < 2 * SEGMENT_ROWS);
+    let want: Vec<Vec<String>> = STRADDLING
+        .iter()
+        .map(|sql| transcript(&env, &env.relation, sql))
+        .collect();
+    for (base, batches) in [(4_500, 1), (4_500, 2), (4_500, 40), (1_000, 40)] {
+        let grown = regrown(&env.relation, base, batches, 0);
+        assert_eq!(grown.len(), env.relation.len());
+        assert_eq!(
+            grown.shards().shard_rows(),
+            0,
+            "appends keep the unsharded policy"
+        );
+        assert!(
+            grown.shards().shard_count() >= 2,
+            "the appended rows live in their own segment"
+        );
+        for (sql, want) in STRADDLING.iter().zip(&want) {
+            let result = execute_normalized_with(
+                &grown,
+                &parse_and_normalize(sql, grown.schema()).unwrap(),
+                AccessPath::Auto,
+            )
+            .unwrap();
+            let boundary = grown.shards().bounds(0).1 as u32;
+            assert!(
+                result.rows().iter().any(|&r| r < boundary)
+                    && result.rows().iter().any(|&r| r >= boundary),
+                "{sql} must straddle the first segment boundary (base={base})"
+            );
+            assert_eq!(
+                &transcript(&env, &grown, sql),
+                want,
+                "base={base} batches={batches}: {sql}"
+            );
+        }
+    }
+}
+
+/// A tail that reaches the seal size exactly becomes a sealed segment:
+/// the next append starts a new tail and carries it by `Arc`. Sharded
+/// layouts seal at their own segment size the same way. An empty
+/// append changes nothing at all.
+#[test]
+fn tail_seals_exactly_at_the_segment_size() {
+    for (shard_rows, base, added, seal) in [(0, SEGMENT_ROWS - 96, 96, SEGMENT_ROWS), (30, 60, 30, 30)] {
+        let full = fixture((base + added) as i64, 0, true);
+        let grown = regrown(&full, base, 1, shard_rows);
+        let sealed_count = grown.shards().shard_count();
+        assert_eq!(
+            grown.shards().bounds(sealed_count - 1).1 - grown.shards().bounds(sealed_count - 1).0,
+            seal
+        );
+        // An empty append shares every segment and the row count.
+        let empty = grown.begin_append().commit().unwrap();
+        assert_eq!(empty.added, 0);
+        assert_eq!(empty.relation.len(), grown.len());
+        for (a, b) in grown.shards().iter().zip(empty.relation.shards().iter()) {
+            assert!(
+                std::sync::Arc::ptr_eq(a, b),
+                "an empty append copies nothing"
+            );
+        }
+        // The next row opens a new tail; the exactly-full one is sealed.
+        let mut tail = grown.begin_append();
+        tail.push_row(&full.row(0).unwrap()).unwrap();
+        let next = tail.commit().unwrap().relation;
+        assert_eq!(
+            next.shards().shard_count(),
+            sealed_count + 1,
+            "shard_rows={shard_rows}"
+        );
+        assert!(std::sync::Arc::ptr_eq(
+            &grown.shards()[sealed_count - 1],
+            &next.shards()[sealed_count - 1]
+        ));
+        // Reads equal a one-shot build of the same rows.
+        let mut rows: Vec<Vec<Value>> = (0..full.len()).map(|r| full.row(r).unwrap()).collect();
+        rows.push(full.row(0).unwrap());
+        let mut b = RelationBuilder::new(full.schema().clone());
+        for r in &rows {
+            b.push_row(r).unwrap();
+        }
+        let fresh = b.finish().unwrap();
+        for sql in [
+            "SELECT * FROM homes WHERE neighborhood IN ('Redmond') AND price >= 150000",
+            "SELECT * FROM homes WHERE bedroomcount IN (1, 5)",
+        ] {
+            let q = parse_and_normalize(sql, fresh.schema()).unwrap();
+            let truth = execute_normalized_with(&fresh, &q, AccessPath::ForceScan).unwrap();
+            for path in PATHS {
+                for threads in THREAD_WIDTHS {
+                    let got = execute_normalized_with_threads(&next, &q, path, threads).unwrap();
+                    assert_eq!(
+                        got.rows(),
+                        truth.rows(),
+                        "{sql}: {path:?} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `r.resharded(r.shards().shard_rows())` is a true copy of `r`'s
+/// layout: the copy keeps the layout policy, and after the same
+/// appends both plan, answer and render byte-identically, with the
+/// same segment bounds.
+#[test]
+fn layout_preserving_copy_appends_plans_and_renders_identically() {
+    let env = StudyEnv::generate(StudyScale::Smoke, 3030);
+    for original in [env.relation.clone(), env.relation.resharded(1_000).unwrap()] {
+        let copy = original.resharded(original.shards().shard_rows()).unwrap();
+        assert_eq!(copy.shards().shard_rows(), original.shards().shard_rows());
+        let (mut a, mut b) = (original.clone(), copy);
+        a.build_indexes();
+        b.build_indexes();
+        for batch in 0..3 {
+            let rows: Vec<Vec<Value>> = (0..32)
+                .map(|i| env.relation.row(batch * 32 + i).unwrap())
+                .collect();
+            let grow = |r: &Relation| {
+                let mut tail = r.begin_append();
+                for row in &rows {
+                    tail.push_row(row).unwrap();
+                }
+                tail.commit().unwrap().relation
+            };
+            (a, b) = (grow(&a), grow(&b));
+        }
+        let bounds = |r: &Relation| {
+            (0..r.shards().shard_count())
+                .map(|s| r.shards().bounds(s))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bounds(&a), bounds(&b));
+        for sql in STRADDLING {
+            let q = parse_and_normalize(sql, a.schema()).unwrap();
+            let (ra, ea) = qcat::exec::plan::select_rows(&a, &q, AccessPath::Auto).unwrap();
+            let (rb, eb) = qcat::exec::plan::select_rows(&b, &q, AccessPath::Auto).unwrap();
+            assert_eq!((ra, ea), (rb, eb), "{sql}");
+            assert_eq!(
+                transcript(&env, &a, sql),
+                transcript(&env, &b, sql),
+                "{sql}"
+            );
+        }
+    }
 }
