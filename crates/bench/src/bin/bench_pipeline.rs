@@ -32,14 +32,12 @@
 //!   layout/path/width differential, and a row-hash determinism
 //!   section. Report schema in docs/PERFORMANCE.md.
 //!
-//! - `--scale ingest`: the mutable-tail serving tier. Warms two
-//!   servers with the same distinct workload queries — one with
-//!   selective invalidation (the default), one with the whole-table
-//!   epoch-bump baseline — then interleaves append rounds through
-//!   `Server::append_rows` and replays the warm set. It reports the
-//!   append latency summaries, how many cached entries each server
-//!   kept alive (selective must retain strictly more than the
-//!   baseline), and `ingest.mismatches`: every answer the surviving
+//! - `--scale ingest`: the mutable-tail serving tier. Warms one
+//!   server with distinct workload queries, then runs append rounds
+//!   through `Server::append_rows` and replays the warm set. It
+//!   reports the append latency summary, how many cached entries the
+//!   appends kept alive (at least one must still be an exact hit),
+//!   and `ingest.mismatches`: every answer the surviving
 //!   caches serve must be byte-identical to a from-scratch recompute
 //!   (gated absolutely by `bench_report --check`). A commit-latency
 //!   sweep closes the run: the same 32-row batch committed to indexed
@@ -769,11 +767,10 @@ fn run_refinement(args: &Args) {
     }
 }
 
-/// The mutable-tail serving tier: two warmed servers — selective
-/// invalidation vs. the whole-table epoch-bump baseline — take the
-/// same append rounds, then replay the warm set. Selective must keep
-/// strictly more exact cache hits alive, and nothing the surviving
-/// caches serve may differ from a from-scratch recompute.
+/// The mutable-tail serving tier: a warmed server takes append
+/// rounds, then replays the warm set. Appends must leave some exact
+/// cache hits alive, and nothing the surviving caches serve may
+/// differ from a from-scratch recompute.
 fn run_ingest(args: &Args) {
     let runs = args.runs();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -794,7 +791,7 @@ fn run_ingest(args: &Args) {
     relation.build_indexes();
     println!("  {} rows", n);
 
-    // Distinct workload queries form the warm set both servers cache
+    // Distinct workload queries form the warm set the server caches
     // before any append lands.
     let mut seen = std::collections::HashSet::new();
     let sample: Vec<&NormalizedQuery> = env
@@ -807,25 +804,17 @@ fn run_ingest(args: &Args) {
     assert!(!sample.is_empty(), "empty distinct workload");
     let table = sample[0].table.clone();
 
-    let selective = Server::new(ServerConfig::default());
-    selective
+    let server = Server::new(ServerConfig::default());
+    server
         .register_table(&table, relation.clone(), env.log.clone(), env.prep.clone())
-        .expect("register selective table");
-    let mut epoch_cfg = ServerConfig::default();
-    epoch_cfg.selective_invalidation = false;
-    let epoch = Server::new(epoch_cfg);
-    epoch
-        .register_table(&table, relation.clone(), env.log.clone(), env.prep.clone())
-        .expect("register epoch-baseline table");
+        .expect("register table");
 
     let mut warmed = 0usize;
     for q in &sample {
-        let sql = sql_of(q, &schema);
-        selective.serve(&sql).expect("selective warm serve");
-        epoch.serve(&sql).expect("epoch warm serve");
+        server.serve(&sql_of(q, &schema)).expect("warm serve");
         warmed += 1;
     }
-    println!("  warmed {} distinct queries on both servers", warmed);
+    println!("  warmed {} distinct queries", warmed);
 
     // Every append round lands the same narrow batch: copies of row 0,
     // so the delta's per-column footprint is one point and the
@@ -834,69 +823,54 @@ fn run_ingest(args: &Args) {
     let template_row = relation.row(0).expect("row 0 of the study relation");
     let batch: Vec<Vec<qcat_data::Value>> = (0..32).map(|_| template_row.clone()).collect();
 
-    let mut sel_append_ns = Vec::with_capacity(runs);
-    let mut epoch_append_ns = Vec::with_capacity(runs);
+    let mut append_ns = Vec::with_capacity(runs);
     let (mut evicted_total, mut kept_total) = (0usize, 0usize);
     let mut rows_appended = 0usize;
     for _ in 0..runs {
         let mut outcome = None;
-        sel_append_ns.push(time_ns(|| {
-            outcome = Some(
-                selective
-                    .append_rows(&table, &batch)
-                    .expect("selective append"),
-            );
+        append_ns.push(time_ns(|| {
+            outcome = Some(server.append_rows(&table, &batch).expect("append"));
         }));
         let outcome = outcome.expect("timed append ran");
         assert_eq!(outcome.added, batch.len());
         evicted_total += outcome.evicted;
         kept_total += outcome.kept;
         rows_appended += outcome.added;
-        epoch_append_ns.push(time_ns(|| {
-            epoch.append_rows(&table, &batch).expect("epoch append");
-        }));
     }
     assert_eq!(
-        selective.generation(&table),
+        server.generation(&table),
         Some(runs as u64),
         "every append round advanced the generation"
     );
-    let sel_append = summarize(&sel_append_ns);
-    let epoch_append = summarize(&epoch_append_ns);
+    let append = summarize(&append_ns);
+    println!("  append median: {:.4} ms", append.median_ms);
     println!(
-        "  append median: selective {:.4} ms | epoch baseline {:.4} ms",
-        sel_append.median_ms, epoch_append.median_ms
-    );
-    println!(
-        "  selective invalidation: {} entries evicted, {} kept across {} rounds",
+        "  invalidation: {} entries evicted, {} kept across {} rounds",
         evicted_total, kept_total, runs
     );
 
     // Retention replay: the first post-append serve of each warmed
     // query. Only exact hits count as "retained" — a containment hit
     // could come from a donor refilled moments earlier in this same
-    // pass, which would credit the epoch baseline with entries it
-    // actually dropped.
+    // pass, and a server that evicted every entry would still score
+    // those. A whole-table flush keeps 0 exact hits, so any retained
+    // entry shows the appends evicted selectively.
     let retained = |outcome: ServeOutcome| {
         matches!(
             outcome,
             ServeOutcome::TreeCacheHit | ServeOutcome::ResultCacheHit
         )
     };
-    let (mut selective_live, mut epoch_live) = (0usize, 0usize);
+    let mut selective_live = 0usize;
     for q in &sample {
-        let sql = sql_of(q, &schema);
-        if retained(selective.serve(&sql).expect("selective replay").outcome) {
+        if retained(server.serve(&sql_of(q, &schema)).expect("replay").outcome) {
             selective_live += 1;
         }
-        if retained(epoch.serve(&sql).expect("epoch replay").outcome) {
-            epoch_live += 1;
-        }
     }
-    let retention_status = if selective_live > epoch_live { "ok" } else { "bad" };
+    let retention_status = if selective_live > 0 { "ok" } else { "bad" };
     println!(
-        "  retention: selective {} / epoch {} of {} warmed entries still exact hits ({})",
-        selective_live, epoch_live, warmed, retention_status
+        "  retention: {} of {} warmed entries still exact hits ({})",
+        selective_live, warmed, retention_status
     );
 
     // Zero-staleness differential: whatever the surviving caches
@@ -904,14 +878,14 @@ fn run_ingest(args: &Args) {
     // byte — rows and rendered tree both.
     let mut cached_pass = Vec::with_capacity(sample.len());
     for q in &sample {
-        let served = selective.serve(&sql_of(q, &schema)).expect("cached pass");
+        let served = server.serve(&sql_of(q, &schema)).expect("cached pass");
         cached_pass.push((served.rows, served.rendered));
     }
-    selective.clear_caches();
+    server.clear_caches();
     let mut mismatches = 0usize;
     for (q, (rows, rendered)) in sample.iter().zip(&cached_pass) {
         let sql = sql_of(q, &schema);
-        let fresh = selective.serve(&sql).expect("fresh pass");
+        let fresh = server.serve(&sql).expect("fresh pass");
         if fresh.rows != *rows || fresh.rendered != *rendered {
             mismatches += 1;
             eprintln!("  STALE ANSWER: {sql}");
@@ -953,12 +927,7 @@ fn run_ingest(args: &Args) {
         "    \"appends\": {}, \"rows_appended\": {},\n",
         runs, rows_appended
     );
-    let _ = write!(out, "    \"append\": {},\n", summary_json(&sel_append));
-    let _ = write!(
-        out,
-        "    \"append_epoch\": {},\n",
-        summary_json(&epoch_append)
-    );
+    let _ = write!(out, "    \"append\": {},\n", summary_json(&append));
     out.push_str("    \"commit_sweep\": [\n");
     for (i, e) in sweep.iter().enumerate() {
         let _ = write!(
@@ -980,8 +949,8 @@ fn run_ingest(args: &Args) {
     out.push_str("  },\n");
     let _ = write!(
         out,
-        "  \"retention\": {{\"queries\": {}, \"selective_live\": {}, \"epoch_live\": {}, \"status\": \"{}\"}}\n",
-        warmed, selective_live, epoch_live, retention_status
+        "  \"retention\": {{\"queries\": {}, \"selective_live\": {}, \"status\": \"{}\"}}\n",
+        warmed, selective_live, retention_status
     );
     out.push_str("}\n");
     args.write_report(&out);

@@ -240,10 +240,12 @@ fn pipeline_metrics(v: &JsonValue) -> Vec<(String, f64)> {
             out.push(("containment.mismatches".to_string(), m));
         }
     }
-    // Ingest-tier append/invalidation telemetry: append latency for
-    // the selective server and the epoch-bump baseline, selective
-    // eviction counters, the retention split, and `ingest.mismatches`
-    // — which gates absolutely via the blanket `*mismatches` rule.
+    // Ingest-tier append/invalidation telemetry: append latency,
+    // eviction counters, retention, and `ingest.mismatches` — which
+    // gates absolutely via the blanket `*mismatches` rule. Reports up
+    // to BENCH_pr20 also ran a whole-table epoch-bump baseline server
+    // (`append_epoch`, `epoch_live`); those keys are still read so the
+    // committed trajectory keeps its history.
     if let Some(ing) = v.get("ingest") {
         for (key, prefix) in [("append", "ingest.append"), ("append_epoch", "ingest.append_epoch")] {
             if let Some(s) = ing.get(key) {
@@ -692,6 +694,27 @@ mod tests {
         // An ingest report never gates against a smoke baseline.
         let smoke = pipeline_fixture(7, 0.30, 30.0);
         assert_eq!(check(&[smoke, f], 0.1), vec![]);
+
+        // A one-server report (no epoch-bump baseline) yields the same
+        // keys minus the baseline's.
+        let one_server = "{\"bench\": \"pipeline\", \"scale\": \"ingest\",\
+            \"warmed\": 60, \"batch_rows\": 32,\
+            \"ingest\": {\
+              \"appends\": 2, \"rows_appended\": 64,\
+              \"append\": {\"mean_ms\": 0.2, \"median_ms\": 0.1, \"p95_ms\": 0.3},\
+              \"evicted\": 19, \"kept\": 101, \"mismatches\": 0, \"status\": \"ok\"},\
+            \"retention\": {\"queries\": 60, \"selective_live\": 57, \"status\": \"ok\"}}";
+        let g = parse_bench_file("BENCH_pr21.json", one_server).expect("parses");
+        assert_eq!(g.kind, "pipeline.ingest");
+        let get = |k: &str| g.metrics.iter().find(|(m, _)| m == k).map(|(_, v)| *v);
+        assert_eq!(get("ingest.append.median_ms"), Some(0.1));
+        assert_eq!(get("ingest.appends"), Some(2.0));
+        assert_eq!(get("ingest.rows_appended"), Some(64.0));
+        assert_eq!(get("ingest.evicted"), Some(19.0));
+        assert_eq!(get("ingest.kept"), Some(101.0));
+        assert_eq!(get("ingest.mismatches"), Some(0.0));
+        assert_eq!(get("retention.selective_live"), Some(57.0));
+        assert!(g.metrics.iter().all(|(m, _)| !m.contains("epoch")), "{:?}", g.metrics);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! The index holds keys and normalized queries, never row ids: rows
 //! stay in the byte-budgeted result LRU, which evicts independently.
 //! Entries here are removed lazily — a probe that finds its key gone
-//! (evicted or stale-epoch) unhooks it, and inserts trigger a full
-//! sweep when the dangling fraction grows — so the index can never
-//! serve rows the cache no longer holds.
+//! (LRU-evicted from the result cache) unhooks it, and inserts trigger
+//! a full sweep when the dangling fraction grows — so the index can
+//! never serve rows the cache no longer holds.
 
 use qcat_data::AttrId;
 use qcat_sql::NormalizedQuery;
@@ -71,7 +71,7 @@ impl ContainmentIndex {
 
     /// Every indexed donor that provably subsumes `query`, cheapest
     /// buckets first is not guaranteed — callers rank by live row
-    /// count. Liveness (cache residency, epoch) is the caller's check;
+    /// count. Liveness (cache residency) is the caller's check;
     /// report dead keys back through [`ContainmentIndex::remove`].
     pub fn candidates(&self, query: &NormalizedQuery) -> Vec<Donor> {
         let Some(sigs) = self.tables.get(&query.table) else {

@@ -32,9 +32,12 @@
 //! *subsumes* the new one (`qcat_sql::subsumes`), its rows are
 //! post-filtered with the residual conjuncts instead — byte-identical
 //! to cold execution at a fraction of the cost. Cached trees depend
-//! on the workload statistics; [`Server::log_queries`] rebuilds them
-//! and bumps the table's **epoch**, which lazily invalidates all of
-//! that table's entries (see [`cache::EpochLru`]).
+//! on the workload statistics; [`Server::log_queries`] absorbs new
+//! queries into them and bumps the table's stats **epoch**, which
+//! lazily invalidates that table's cached trees (see
+//! [`cache::EpochLru`]) while its cached result sets survive. Appends
+//! ([`Server::append_rows`]) evict only the entries whose predicates
+//! may intersect the new rows.
 //!
 //! The same workload log also *forecasts*: [`Server::speculate`]
 //! precomputes and pins the hottest queries' trees from a background
@@ -278,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn selective_invalidation_keeps_provably_disjoint_entries() {
+    fn appends_keep_provably_disjoint_entries() {
         let s = server();
         // Three cached answers: categorical-disjoint, range-disjoint,
         // and one the batch intersects.
@@ -318,28 +321,6 @@ mod tests {
         let after = s.serve(sql).unwrap();
         assert_eq!(after.outcome, ServeOutcome::Cold);
         assert_eq!(after.rows, 201);
-    }
-
-    #[test]
-    fn epoch_bump_baseline_evicts_disjoint_entries_too() {
-        let relation = homes(200);
-        let prep = PreprocessConfig::new().infer_missing(&relation, 20);
-        let s = Server::new(ServerConfig {
-            selective_invalidation: false,
-            ..ServerConfig::default()
-        });
-        s.register_table("homes", relation, workload(), prep)
-            .unwrap();
-        let q_hood = "SELECT * FROM homes WHERE neighborhood IN ('Redmond')";
-        s.serve(q_hood).unwrap();
-        let outcome = s
-            .append_rows("homes", &[append_row("Issaquah", 500_000.0, 2)])
-            .unwrap();
-        assert_eq!((outcome.evicted, outcome.kept), (0, 0), "legacy mode is epoch-based");
-        // The batch provably cannot change this answer, but the
-        // whole-table bump kills it anyway — the retention gap the
-        // selective policy closes.
-        assert_eq!(s.serve(q_hood).unwrap().outcome, ServeOutcome::Cold);
     }
 
     #[test]
@@ -399,6 +380,59 @@ mod tests {
         let again = s.speculate("homes", &SpeculateConfig::default()).unwrap();
         assert_eq!(again.filled, 0);
         assert_eq!(again.already_cached, 4);
+    }
+
+    #[test]
+    fn speculation_sees_absorbed_queries() {
+        let s = server();
+        let sql = "SELECT * FROM homes WHERE bedroomcount IN (4, 5)";
+        let absorbed = parse_and_normalize(sql, &schema()).unwrap();
+        s.log_queries("homes", vec![absorbed.clone(), absorbed.clone()])
+            .unwrap();
+        s.log_queries("homes", vec![absorbed]).unwrap();
+        // One new distinct query, issued three times across two
+        // batches: it outranks every once-logged registration query,
+        // so a one-fill pass pins exactly its tree.
+        let report = s
+            .speculate(
+                "homes",
+                &SpeculateConfig {
+                    max_fills: 1,
+                    ..SpeculateConfig::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(report.considered, 5, "{report:?}");
+        assert_eq!(report.filled, 1, "{report:?}");
+        assert_eq!(s.serve(sql).unwrap().outcome, ServeOutcome::TreeCacheHit);
+    }
+
+    #[test]
+    fn refused_absorb_changes_nothing() {
+        let s = server();
+        let sql = "SELECT * FROM homes WHERE price <= 200000";
+        s.serve(sql).unwrap();
+        let considered = s
+            .speculate("homes", &SpeculateConfig::default())
+            .unwrap()
+            .considered;
+        let new = parse_and_normalize(
+            "SELECT * FROM homes WHERE bedroomcount IN (4, 5)",
+            &schema(),
+        )
+        .unwrap();
+        let plan = qcat_fault::FaultPlan::parse("workload.stats.delta:error").unwrap();
+        let err = qcat_fault::with_plan(&plan, || s.log_queries("homes", vec![new]).unwrap_err());
+        assert!(matches!(
+            err,
+            qcat_data::DataError::Fault { site: "workload.stats.delta" }
+        ));
+        // The stats epoch, the cached tree and the logged workload are
+        // all as they were before the refused call.
+        assert_eq!(s.epoch("homes"), Some(0));
+        assert_eq!(s.serve(sql).unwrap().outcome, ServeOutcome::TreeCacheHit);
+        let after = s.speculate("homes", &SpeculateConfig::default()).unwrap();
+        assert_eq!(after.considered, considered);
     }
 
     #[test]

@@ -97,13 +97,6 @@ pub struct ServerConfig {
     /// How many [`SlowQuery`] entries the slow-query log retains
     /// (oldest evicted).
     pub slow_log_capacity: usize,
-    /// Invalidation policy for [`Server::append_rows`]. `true` (the
-    /// default) evicts only cached answers whose predicates may
-    /// intersect the appended batch's per-column summary; `false`
-    /// falls back to the legacy whole-table epoch bump (every cached
-    /// entry of the table dies). The flag exists so benchmarks can
-    /// measure retention against the baseline.
-    pub selective_invalidation: bool,
 }
 
 impl Default for ServerConfig {
@@ -117,7 +110,6 @@ impl Default for ServerConfig {
             max_in_flight: usize::MAX,
             slow_query_ns: u64::MAX,
             slow_log_capacity: 32,
-            selective_invalidation: true,
         }
     }
 }
@@ -184,34 +176,37 @@ pub struct AppendOutcome {
     pub generation: u64,
     /// Rows appended by the batch.
     pub added: usize,
-    /// Cached entries evicted by selective invalidation (0 in legacy
-    /// epoch-bump mode, where entries die lazily instead).
+    /// Cached entries evicted because their predicates may intersect
+    /// the batch.
     pub evicted: usize,
     /// Tracked cached entries proven disjoint from the batch and kept
-    /// alive (0 in legacy mode).
+    /// alive.
     pub kept: usize,
 }
 
 /// Everything the server knows about one registered table.
 struct TableState {
-    log: WorkloadLog,
+    /// The workload batches the server was given, in order: the log
+    /// passed to [`Server::register_table`], then one batch per
+    /// [`Server::log_queries`]. Shared, never copied — speculation
+    /// ranks over their concatenation.
+    log: Vec<Arc<WorkloadLog>>,
     stats: Arc<WorkloadStatistics>,
     /// The mutable-tail ingest handle: appends go through it and
     /// queries pin a snapshot from it, so a commit racing a query
     /// cannot change what the query sees.
     ingest: Arc<IngestTable>,
-    /// Bumped whenever `stats` absorbs new workload queries. Cached
-    /// *trees* depend on the statistics; result sets do not.
+    /// Bumped whenever `stats` absorbs new workload queries; guards
+    /// cached *trees*, which depend on the statistics. Result sets do
+    /// not, and appends evict both surgically instead of bumping it.
     stats_epoch: u64,
-    /// Epoch guarding cached result sets and containment donors.
-    /// Selective invalidation leaves it alone (evicting surgically);
-    /// the legacy whole-bump baseline advances it per append.
-    data_epoch: u64,
-    /// Epoch guarding cached trees: advances whenever either
-    /// `stats_epoch` or `data_epoch` does (trees depend on both the
-    /// statistics and the data).
-    tree_epoch: u64,
 }
+
+/// The one epoch the result cache is read and written at. Row ids do
+/// not depend on the workload statistics, and appends evict affected
+/// result sets surgically ([`Caches::invalidate_delta`]), so result
+/// entries never go stale by epoch.
+const RESULT_EPOCH: u64 = 0;
 
 /// The cached artifacts, both keyed by normalized-query fingerprint,
 /// plus the containment index over the result entries.
@@ -239,19 +234,17 @@ impl Caches {
 
     /// Cache a result set, charging its `heap_bytes` against the
     /// result byte budget, and register it as a containment donor.
-    fn insert_result(
-        &mut self,
-        key: &str,
-        query: &NormalizedQuery,
-        result: &Arc<ResultSet>,
-        epoch: u64,
-    ) {
-        self.results
-            .insert(key.to_string(), Arc::clone(result), epoch, result.heap_bytes());
+    fn insert_result(&mut self, key: &str, query: &NormalizedQuery, result: &Arc<ResultSet>) {
+        self.results.insert(
+            key.to_string(),
+            Arc::clone(result),
+            RESULT_EPOCH,
+            result.heap_bytes(),
+        );
         // Only index what actually cached (oversized entries are
         // refused): the index must never point at rows the cache does
         // not hold.
-        if self.results.contains_live(key, epoch) {
+        if self.results.contains_live(key, RESULT_EPOCH) {
             self.containment.insert(key, query);
         }
         if self.containment.len() > self.results.len().saturating_mul(2) + 64 {
@@ -417,16 +410,15 @@ enum FillRole<'a> {
 }
 
 /// Everything a fill carries from the moment its snapshot was pinned:
-/// the pinned relation + generation, the statistics snapshot, and the
-/// cache epochs read atomically with the pin.
+/// the pinned relation + generation, and the statistics snapshot with
+/// the stats epoch read atomically with it.
 #[derive(Clone, Copy)]
 struct FillCtx<'a> {
     relation: &'a Relation,
     stats: &'a WorkloadStatistics,
     ingest: &'a IngestTable,
     generation: u64,
-    data_epoch: u64,
-    tree_epoch: u64,
+    stats_epoch: u64,
 }
 
 /// Holds one admission slot; releases it on drop (including unwinds).
@@ -497,11 +489,12 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Both caches key on the *normalized* query, so literal spellings,
 /// conjunct order, and case differences all share one entry. Logging
-/// new workload queries ([`Server::log_queries`]) rebuilds the
-/// statistics and bumps the table's epoch, which invalidates every
-/// cached tree for that table (trees depend on the statistics) as
-/// well as its cached result sets (kept simple: one epoch guards
-/// both).
+/// new workload queries ([`Server::log_queries`]) absorbs them into the
+/// statistics and bumps the table's stats epoch, which invalidates
+/// every cached tree for that table (trees depend on the statistics);
+/// cached result sets survive, because row ids do not depend on the
+/// workload. Appends ([`Server::append_rows`]) evict exactly the
+/// entries of either cache whose predicates may intersect the batch.
 pub struct Server {
     catalog: Catalog,
     config: ServerConfig,
@@ -589,12 +582,10 @@ impl Server {
         self.lock_tables().insert(
             name.to_ascii_lowercase(),
             TableState {
-                log,
+                log: vec![Arc::new(log)],
                 stats,
                 ingest: Arc::new(IngestTable::new(relation)),
                 stats_epoch: 0,
-                data_epoch: 0,
-                tree_epoch: 0,
             },
         );
         Ok(())
@@ -607,7 +598,7 @@ impl Server {
     /// row ids do not depend on the workload.
     ///
     /// The absorb is all-or-nothing: if the `workload.stats.delta`
-    /// fault site fires, statistics, log, and epochs are untouched.
+    /// fault site fires, statistics, log, and epoch are untouched.
     /// The attribute-correlation index is the one component absorb
     /// does not extend; new correlation pairs take effect at the next
     /// full rebuild ([`Server::register_table`]).
@@ -625,11 +616,8 @@ impl Server {
         stats
             .absorb(&queries)
             .map_err(|f| DataError::Fault { site: f.site })?;
-        let mut merged: Vec<NormalizedQuery> = state.log.queries().to_vec();
-        merged.extend(queries);
-        state.log = WorkloadLog::from_normalized(merged);
+        state.log.push(Arc::new(WorkloadLog::from_normalized(queries)));
         state.stats_epoch += 1;
-        state.tree_epoch += 1;
         qcat_obs::event!(
             "serve.stats.absorbed",
             table = key.as_str(),
@@ -662,17 +650,12 @@ impl Server {
     /// ([`qcat_data::IngestTable::append_rows`]): concurrent queries
     /// keep reading their pinned snapshots, and a mid-batch failure
     /// (validation, or the `data.append` / `data.index.delta` fault
-    /// sites) leaves the table byte-identical to pre-batch. Under
-    /// selective invalidation the caches too are only touched after a
-    /// successful commit; the legacy baseline bumps its epoch before
-    /// committing (required for its stale-read exclusion), so a failed
-    /// append there may evict conservatively — never serve stale.
+    /// sites) leaves the table byte-identical to pre-batch, and the
+    /// caches are only touched after a successful commit.
     ///
-    /// With [`ServerConfig::selective_invalidation`] (the default),
-    /// only entries whose predicates may intersect the batch's
+    /// Only entries whose predicates may intersect the batch's
     /// per-column min/max/code-presence summary are evicted; disjoint
-    /// entries keep serving. With the flag off, the table's data epoch
-    /// bumps and every cached entry dies (the legacy baseline).
+    /// entries keep serving.
     ///
     /// The commit and the cache sweep run under the cache lock, so no
     /// reader can pin the new generation and still hit a stale entry:
@@ -688,70 +671,36 @@ impl Server {
             };
             Arc::clone(&state.ingest)
         };
-        if self.config.selective_invalidation {
-            // Hold the cache lock across commit + sweep (see doc
-            // comment). Appends serialize on the ingest table's own
-            // lock as well, so two appenders cannot interleave sweeps.
-            let mut caches = self.lock_caches();
-            let receipt = ingest
-                .append_rows(rows)
-                .map_err(|e| ServeError::Exec(ExecError::Data(e)))?;
-            self.catalog
-                .register_or_replace(&key, receipt.snapshot.relation().clone());
-            let (evicted, kept) = caches.invalidate_delta(
-                &key,
-                receipt.snapshot.relation(),
-                &receipt.commit.delta,
-            );
-            qcat_obs::counter("serve.append.committed", 1);
-            qcat_obs::counter("serve.invalidate.evicted", i64::try_from(evicted).unwrap_or(i64::MAX));
-            qcat_obs::counter("serve.invalidate.kept", i64::try_from(kept).unwrap_or(i64::MAX));
-            if qcat_obs::active() {
-                span.set("generation", receipt.snapshot.generation());
-                span.set("evicted", evicted);
-                span.set("kept", kept);
-            }
-            Ok(AppendOutcome {
-                generation: receipt.snapshot.generation(),
-                added: receipt.commit.added,
-                evicted,
-                kept,
-            })
-        } else {
-            // Legacy baseline: bump the data epoch *before* the commit
-            // becomes visible. A reader that pins the new generation
-            // reads its epochs afterwards (both under the table lock),
-            // so it can never pair the new data with a stale epoch;
-            // the worst case is a reader that sees the bumped epoch
-            // with the old generation and recomputes conservatively.
-            {
-                let mut tables = self.lock_tables();
-                let Some(state) = tables.get_mut(&key) else {
-                    return Err(ServeError::UnregisteredTable(table.to_string()));
-                };
-                state.data_epoch += 1;
-                state.tree_epoch += 1;
-            }
-            let receipt = ingest
-                .append_rows(rows)
-                .map_err(|e| ServeError::Exec(ExecError::Data(e)))?;
-            self.catalog
-                .register_or_replace(&key, receipt.snapshot.relation().clone());
-            qcat_obs::counter("serve.append.committed", 1);
-            if qcat_obs::active() {
-                span.set("generation", receipt.snapshot.generation());
-            }
-            Ok(AppendOutcome {
-                generation: receipt.snapshot.generation(),
-                added: receipt.commit.added,
-                evicted: 0,
-                kept: 0,
-            })
+        // Hold the cache lock across commit + sweep (see doc comment).
+        // Appends serialize on the ingest table's own lock as well, so
+        // two appenders cannot interleave sweeps.
+        let mut caches = self.lock_caches();
+        let receipt = ingest
+            .append_rows(rows)
+            .map_err(|e| ServeError::Exec(ExecError::Data(e)))?;
+        self.catalog
+            .register_or_replace(&key, receipt.snapshot.relation().clone());
+        let (evicted, kept) =
+            caches.invalidate_delta(&key, receipt.snapshot.relation(), &receipt.commit.delta);
+        qcat_obs::counter("serve.append.committed", 1);
+        qcat_obs::counter("serve.invalidate.evicted", i64::try_from(evicted).unwrap_or(i64::MAX));
+        qcat_obs::counter("serve.invalidate.kept", i64::try_from(kept).unwrap_or(i64::MAX));
+        if qcat_obs::active() {
+            span.set("generation", receipt.snapshot.generation());
+            span.set("evicted", evicted);
+            span.set("kept", kept);
         }
+        Ok(AppendOutcome {
+            generation: receipt.snapshot.generation(),
+            added: receipt.commit.added,
+            evicted,
+            kept,
+        })
     }
 
-    /// Drop every cached result set and tree (measurement hook; the
-    /// epoch mechanism handles correctness-driven invalidation).
+    /// Drop every cached result set and tree (measurement hook; stats
+    /// epochs and append sweeps handle correctness-driven
+    /// invalidation).
     pub fn clear_caches(&self) {
         let mut caches = self.lock_caches();
         caches.results.clear();
@@ -841,12 +790,11 @@ impl Server {
     fn serve_inner(&self, sql: &str) -> Result<Served, ServeError> {
         let mut span = qcat_obs::span!("serve.query", bytes = sql.len());
         let ast = parse_select(sql)?;
-        let (relation, generation, ingest, stats, data_epoch, tree_epoch) = {
+        let (relation, generation, ingest, stats, stats_epoch) = {
             // Table state is keyed by lowercased name (the catalog's
-            // lookup is case-insensitive too). Pinning the snapshot
-            // *inside* the table lock pairs the relation with epochs
-            // read no earlier than an appender's pre-commit bump, so a
-            // reader can never combine fresh data with stale epochs.
+            // lookup is case-insensitive too). The statistics and their
+            // epoch are read under one lock, so a tree is always cached
+            // under the epoch of the statistics it was built from.
             let tables = self.lock_tables();
             let Some(state) = tables.get(&ast.table.to_ascii_lowercase()) else {
                 return Err(ServeError::UnregisteredTable(ast.table.clone()));
@@ -857,8 +805,7 @@ impl Server {
                 snap.generation(),
                 Arc::clone(&state.ingest),
                 Arc::clone(&state.stats),
-                state.data_epoch,
-                state.tree_epoch,
+                state.stats_epoch,
             )
         };
         let query = qcat_sql::normalize::normalize(&ast, relation.schema())?;
@@ -868,8 +815,7 @@ impl Server {
             stats: &stats,
             ingest: &ingest,
             generation,
-            data_epoch,
-            tree_epoch,
+            stats_epoch,
         };
 
         // Fast path: the finished tree is cached for this epoch. The
@@ -877,7 +823,7 @@ impl Server {
         // (a temporary in the scrutinee) is dropped before the body
         // runs — scrutinee temporaries live to the end of the whole
         // `if let`/`match`, and re-locking inside would self-deadlock.
-        let tree_hit = self.lock_caches().trees.get(&key, tree_epoch);
+        let tree_hit = self.lock_caches().trees.get(&key, stats_epoch);
         if let Some((tree, rendered)) = tree_hit {
             qcat_obs::counter("serve.cache.hit", 1);
             qcat_obs::counter("serve.cache.tree.hit", 1);
@@ -949,7 +895,7 @@ impl Server {
                             })
                             .unwrap_or_else(|e| e.into_inner());
                     }
-                    let published = self.lock_caches().trees.get(&key, tree_epoch);
+                    let published = self.lock_caches().trees.get(&key, stats_epoch);
                     if let Some((tree, rendered)) = published {
                         qcat_obs::counter("serve.cache.hit", 1);
                         if qcat_obs::active() {
@@ -1030,8 +976,7 @@ impl Server {
         let FillCtx {
             relation,
             stats,
-            data_epoch,
-            tree_epoch,
+            stats_epoch,
             ..
         } = *ctx;
         if let Some(fault) = qcat_fault::point("serve.fill") {
@@ -1048,7 +993,7 @@ impl Server {
             // `MutexGuard` (a temporary in the scrutinee) is dropped
             // before the body runs — re-locking inside the match would
             // self-deadlock.
-            let result_hit = self.lock_caches().results.get(key, data_epoch);
+            let result_hit = self.lock_caches().results.get(key, RESULT_EPOCH);
             let (result, outcome) = match result_hit {
                 Some(result) => {
                     qcat_obs::counter("serve.cache.result.hit", 1);
@@ -1085,7 +1030,7 @@ impl Server {
                             // superseded the pinned snapshot.
                             let mut caches = self.lock_caches();
                             if self.still_current(ctx) {
-                                caches.insert_result(key, query, &result, data_epoch);
+                                caches.insert_result(key, query, &result);
                             }
                             drop(caches);
                             (result, ServeOutcome::Cold)
@@ -1121,7 +1066,7 @@ impl Server {
             } else {
                 let mut caches = self.lock_caches();
                 if self.still_current(ctx) {
-                    caches.insert_tree(key, query, &tree, &rendered, tree_epoch);
+                    caches.insert_tree(key, query, &tree, &rendered, stats_epoch);
                 }
             }
             Ok(Served {
@@ -1141,25 +1086,21 @@ impl Server {
     /// cached answer whose query provably subsumes this one, and
     /// post-filter its rows with the residual conjuncts instead of
     /// executing from scratch. Returns `Ok(None)` when no live donor
-    /// exists; index entries found dangling along the way (evicted or
-    /// stale-epoch rows) are unhooked.
+    /// exists; index entries found dangling along the way (rows the
+    /// result cache LRU-evicted) are unhooked.
     fn containment_fill(
         &self,
         ctx: &FillCtx<'_>,
         query: &NormalizedQuery,
         key: &str,
     ) -> Result<Option<Arc<ResultSet>>, ExecError> {
-        let FillCtx {
-            relation,
-            data_epoch,
-            ..
-        } = *ctx;
+        let relation = ctx.relation;
         let donor = {
             let mut caches = self.lock_caches();
             let candidates = caches.containment.candidates(query);
             let mut best: Option<(Arc<ResultSet>, Donor)> = None;
             for cand in candidates {
-                match caches.results.get(&cand.key, data_epoch) {
+                match caches.results.get(&cand.key, RESULT_EPOCH) {
                     // The smallest donor filters the fewest rows.
                     Some(rows) => {
                         if best.as_ref().map_or(true, |(b, _)| rows.len() < b.len()) {
@@ -1194,7 +1135,7 @@ impl Server {
         // append superseded the pinned snapshot mid-fill.
         let mut caches = self.lock_caches();
         if self.still_current(ctx) {
-            caches.insert_result(key, query, &result, data_epoch);
+            caches.insert_result(key, query, &result);
         }
         drop(caches);
         Ok(Some(result))
@@ -1213,7 +1154,7 @@ impl Server {
     ) -> Result<SpeculateReport, ServeError> {
         let mut span = qcat_obs::span!("serve.speculate");
         let key_tbl = table.to_ascii_lowercase();
-        let (relation, generation, ingest, stats, data_epoch, tree_epoch, logged) = {
+        let (relation, generation, ingest, stats, stats_epoch, logged) = {
             let tables = self.lock_tables();
             let Some(state) = tables.get(&key_tbl) else {
                 return Err(ServeError::UnregisteredTable(table.to_string()));
@@ -1224,9 +1165,8 @@ impl Server {
                 snap.generation(),
                 Arc::clone(&state.ingest),
                 Arc::clone(&state.stats),
-                state.data_epoch,
-                state.tree_epoch,
-                state.log.queries().to_vec(),
+                state.stats_epoch,
+                state.log.clone(),
             )
         };
         let mut report = SpeculateReport::default();
@@ -1241,7 +1181,10 @@ impl Server {
             }
             return Ok(report);
         }
-        let ranked = crate::speculate::rank_hot_queries(&logged, &stats);
+        let ranked = crate::speculate::rank_hot_queries(
+            logged.iter().flat_map(|batch| batch.queries()),
+            &stats,
+        );
         report.considered = ranked.len();
         let mut targets = Vec::new();
         {
@@ -1250,7 +1193,7 @@ impl Server {
                 if targets.len() >= cfg.max_fills {
                     break;
                 }
-                if caches.trees.contains_live(&key, tree_epoch) {
+                if caches.trees.contains_live(&key, stats_epoch) {
                     report.already_cached += 1;
                     continue;
                 }
@@ -1268,8 +1211,7 @@ impl Server {
             stats: &stats,
             ingest: &ingest,
             generation,
-            data_epoch,
-            tree_epoch,
+            stats_epoch,
         };
         let pool = ThreadPool::new(cfg.threads);
         let outcomes = pool.try_map(&targets, |_, (key, query)| {

@@ -93,10 +93,12 @@ pub(crate) enum SpecOutcome {
 }
 
 /// Rank the logged queries hottest-first, deduplicated by
-/// fingerprint. Deterministic: count desc, summed usage fraction of
+/// fingerprint; each group is represented by its first-seen query, so
+/// ranking a log's batches in order equals ranking their
+/// concatenation. Deterministic: count desc, summed usage fraction of
 /// constrained attributes desc, fingerprint asc.
-pub(crate) fn rank_hot_queries(
-    log: &[NormalizedQuery],
+pub(crate) fn rank_hot_queries<'a>(
+    log: impl IntoIterator<Item = &'a NormalizedQuery>,
     stats: &WorkloadStatistics,
 ) -> Vec<(String, NormalizedQuery)> {
     let mut groups: HashMap<String, (usize, NormalizedQuery)> = HashMap::new();
@@ -168,6 +170,39 @@ mod tests {
         ]);
         assert_eq!(out.len(), 2, "normalized duplicates collapse");
         assert!(out[0].1.condition(AttrId(1)).is_some());
+    }
+
+    #[test]
+    fn ranking_batches_equals_ranking_their_concatenation() {
+        let schema = schema();
+        let batches: Vec<WorkloadLog> = [
+            &[
+                "SELECT * FROM homes WHERE price <= 200000",
+                "SELECT * FROM homes WHERE bedroomcount >= 3",
+            ][..],
+            &["select * from HOMES where PRICE <= 2e5"][..],
+            &[
+                "SELECT * FROM homes WHERE neighborhood IN ('Redmond')",
+                "SELECT * FROM homes WHERE bedroomcount >= 3",
+                "SELECT * FROM homes WHERE bedroomcount >= 3",
+            ][..],
+        ]
+        .iter()
+        .map(|sqls| WorkloadLog::parse(sqls.iter().copied(), &schema, None))
+        .collect();
+        let concatenated = WorkloadLog::from_normalized(
+            batches.iter().flat_map(|b| b.queries().iter().cloned()).collect(),
+        );
+        let stats =
+            WorkloadStatistics::build(&concatenated, &schema, &PreprocessConfig::default());
+        let over_batches = rank_hot_queries(batches.iter().flat_map(|b| b.queries()), &stats);
+        let over_concat = rank_hot_queries(concatenated.queries(), &stats);
+        assert_eq!(over_batches.len(), 3);
+        assert_eq!(over_batches, over_concat);
+        // Counts add across batches: the query issued in the first
+        // and last batches outranks the one whose two spellings
+        // straddle the first two.
+        assert!(over_batches[0].1.condition(AttrId(2)).is_some());
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn concurrent_reads_match_serial_replay_at_pinned_generation() {
 /// chaos, every cached answer that survived must be byte-identical to
 /// a from-scratch recompute — zero stale answers.
 #[test]
-fn selective_invalidation_never_serves_stale_answers_under_storm() {
+fn append_invalidation_never_serves_stale_answers_under_storm() {
     mute_injected_panics();
     let relation = seed(200, 50);
     let log = qcat::workload::WorkloadLog::parse(
