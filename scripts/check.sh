@@ -81,6 +81,26 @@ mkdir -p "$artifacts"
 # CI run's sharded-plane numbers are inspectable without re-running.
 cp target/BENCH_large_smoke.json "$artifacts/"
 
+echo "==> standard-scale paper diff (every deterministic repro artifact vs its golden)"
+# The tier-1 suite pins the smoke-scale output
+# (crates/qcat-study/tests/repro_golden.rs); this runs the same
+# artifact list at standard scale (a few minutes) and diffs it against
+# the committed standard golden. The diff is uploaded with the other
+# artifacts; it must be empty. Run in a scratch directory because fig7
+# writes fig7.svg into the working directory.
+repro_bin=$(pwd)/target/release/repro
+repro_dir=$(mktemp -d)
+(cd "$repro_dir" && "$repro_bin" --scale standard \
+    fig7 table1 fig8 table2 table3 fig9 fig10 fig11 fig12 table4 ablation \
+    > repro_standard.txt 2> /dev/null)
+diff -u crates/qcat-study/tests/golden/repro_standard.txt "$repro_dir/repro_standard.txt" \
+    > "$artifacts/repro-standard.diff" || {
+    echo "standard-scale repro output differs from the golden:" >&2
+    head -40 "$artifacts/repro-standard.diff" >&2
+    exit 1
+}
+rm -rf "$repro_dir"
+
 echo "==> traced smoke repro (QCAT_TRACE=json) + trace audit (T1-T5)"
 trace=$artifacts/qcat-trace.jsonl
 QCAT_TRACE=json QCAT_TRACE_FILE="$trace" \
