@@ -5,6 +5,7 @@ use qcat_data::AttrId;
 use qcat_sql::NumericRange;
 use qcat_workload::WorkloadStatistics;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::PoisonError;
 use std::sync::RwLock;
 
@@ -50,9 +51,7 @@ impl<'a> ProbabilityEstimator<'a> {
     /// `NOverlap(C)` for a label.
     pub fn n_overlap(&self, label: &CategoryLabel) -> usize {
         match &label.kind {
-            LabelKind::In(_) => self
-                .stats
-                .n_overlap_values(label.attr, label.in_values()),
+            LabelKind::In(_) => self.stats.n_overlap_values(label.attr, label.in_values()),
             LabelKind::Range(r) => self.stats.n_overlap_range(label.attr, r),
         }
     }
@@ -103,6 +102,61 @@ impl<'a> ProbabilityEstimator<'a> {
 /// identity, with the float bounds compared by bit pattern.
 type RangeKey = (AttrId, u64, u64, bool, bool);
 
+/// Hasher for [`RangeKey`]s. The keys are internal bit patterns, not
+/// adversarial input, so a rotate-xor-multiply per word plus a
+/// splitmix64 finalizer (which folds the float bounds' high bits into
+/// the low bits the table indexes by) replaces SipHash.
+#[derive(Debug, Default, Clone, Copy)]
+struct RangeHasher(u64);
+
+impl RangeHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for RangeHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
 /// Per-categorize memo over [`ProbabilityEstimator`]: `Pw` per
 /// attribute precomputed up front, `P(C)` for numeric interval labels
 /// cached by interval identity. The numeric partitioner prices the
@@ -117,7 +171,7 @@ type RangeKey = (AttrId, u64, u64, bool, bool);
 pub struct ProbCache<'a> {
     est: ProbabilityEstimator<'a>,
     p_show: Vec<f64>,
-    range_p: RwLock<HashMap<RangeKey, f64>>,
+    range_p: RwLock<HashMap<RangeKey, f64, BuildHasherDefault<RangeHasher>>>,
 }
 
 impl<'a> ProbCache<'a> {
@@ -133,7 +187,7 @@ impl<'a> ProbCache<'a> {
         ProbCache {
             est,
             p_show,
-            range_p: RwLock::new(HashMap::new()),
+            range_p: RwLock::new(HashMap::default()),
         }
     }
 
