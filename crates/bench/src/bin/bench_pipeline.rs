@@ -59,7 +59,7 @@ use qcat_bench::{
     Summary,
 };
 use qcat_data::Schema;
-use qcat_exec::{execute_normalized_with, execute_normalized_with_threads, plan, AccessPath};
+use qcat_exec::{execute, plan, AccessPath, ExecOptions};
 use qcat_serve::{ServeOutcome, Server, ServerConfig, SpeculateConfig};
 use qcat_sql::normalize::{AttrCondition, NormalizedQuery};
 use qcat_study::{StudyEnv, StudyScale};
@@ -180,6 +180,15 @@ fn sql_of(query: &NormalizedQuery, schema: &Schema) -> String {
     sql
 }
 
+/// Execution options along `path` at `threads` (`0` = auto), no donor.
+fn opts(path: AccessPath, threads: usize) -> ExecOptions<'static> {
+    ExecOptions {
+        path,
+        threads,
+        donor: None,
+    }
+}
+
 fn time_ns(mut f: impl FnMut()) -> u64 {
     let start = Instant::now();
     f();
@@ -231,11 +240,11 @@ fn run_smoke(args: &Args) {
         env.env.log.queries().iter().take(args.queries).collect();
     let mut mismatches = 0usize;
     for q in &sample {
-        let scan = execute_normalized_with(&relation, q, AccessPath::ForceScan)
+        let scan = execute(&relation, q, &opts(AccessPath::ForceScan, 0))
             .expect("scan path failed");
         for path in [AccessPath::Auto, AccessPath::ForceIndex] {
             let other =
-                execute_normalized_with(&relation, q, path).expect("index path failed");
+                execute(&relation, q, &opts(path, 0)).expect("index path failed");
             if other.rows() != scan.rows() {
                 mismatches += 1;
                 eprintln!("  MISMATCH ({path:?}): {}", sql_of(q, &schema));
@@ -259,7 +268,7 @@ fn run_smoke(args: &Args) {
     let selective: Vec<(&NormalizedQuery, usize)> = sample
         .iter()
         .filter_map(|q| {
-            let rs = execute_normalized_with(&relation, q, AccessPath::ForceScan).ok()?;
+            let rs = execute(&relation, q, &opts(AccessPath::ForceScan, 0)).ok()?;
             let len = rs.len();
             (len > 0 && (len as f64) < 0.05 * n as f64).then_some((*q, len))
         })
@@ -291,12 +300,12 @@ fn run_smoke(args: &Args) {
     let mut index_ns = Vec::with_capacity(runs);
     for _ in 0..runs {
         scan_ns.push(time_ns(|| {
-            let rs = execute_normalized_with(&relation, exec_probe, AccessPath::ForceScan)
+            let rs = execute(&relation, exec_probe, &opts(AccessPath::ForceScan, 0))
                 .expect("scan failed");
             std::hint::black_box(rs.len());
         }));
         index_ns.push(time_ns(|| {
-            let rs = execute_normalized_with(&relation, exec_probe, AccessPath::Auto)
+            let rs = execute(&relation, exec_probe, &ExecOptions::default())
                 .expect("index failed");
             std::hint::black_box(rs.len());
         }));
@@ -514,7 +523,7 @@ fn run_refinement(args: &Args) {
             if bucket.len() >= 4 {
                 continue;
             }
-            let rows = execute_normalized_with(&relation, &single, AccessPath::ForceScan)
+            let rows = execute(&relation, &single, &opts(AccessPath::ForceScan, 0))
                 .expect("conjunct probe")
                 .len();
             let sel = rows as f64 / n as f64;
@@ -1151,7 +1160,7 @@ fn run_large(args: &Args) {
         let lens: Vec<usize> = sample
             .iter()
             .map(|q| {
-                execute_normalized_with(&single, q, AccessPath::ForceScan)
+                execute(&single, q, &opts(AccessPath::ForceScan, 0))
                     .expect("probe scan")
                     .len()
             })
@@ -1187,13 +1196,8 @@ fn run_large(args: &Args) {
         let serial_scan_ns: Vec<u64> = (0..runs)
             .map(|_| {
                 time_ns(|| {
-                    let rs = execute_normalized_with_threads(
-                        &single,
-                        broad_probe,
-                        AccessPath::ForceScan,
-                        1,
-                    )
-                    .expect("serial scan");
+                    let rs = execute(&single, broad_probe, &opts(AccessPath::ForceScan, 1))
+                        .expect("serial scan");
                     hash_check(rs.rows());
                 })
             })
@@ -1213,13 +1217,8 @@ fn run_large(args: &Args) {
             let ns: Vec<u64> = (0..runs)
                 .map(|_| {
                     time_ns(|| {
-                        let rs = execute_normalized_with_threads(
-                            &sharded,
-                            broad_probe,
-                            AccessPath::ForceScan,
-                            t,
-                        )
-                        .expect("sharded scan");
+                        let rs = execute(&sharded, broad_probe, &opts(AccessPath::ForceScan, t))
+                            .expect("sharded scan");
                         hash_check(rs.rows());
                     })
                 })
@@ -1243,13 +1242,8 @@ fn run_large(args: &Args) {
         let sel_scan_ns: Vec<u64> = (0..runs)
             .map(|_| {
                 time_ns(|| {
-                    let rs = execute_normalized_with_threads(
-                        &sharded,
-                        sel_probe,
-                        AccessPath::ForceScan,
-                        1,
-                    )
-                    .expect("selective scan");
+                    let rs = execute(&sharded, sel_probe, &opts(AccessPath::ForceScan, 1))
+                        .expect("selective scan");
                     std::hint::black_box(rs.len());
                 })
             })
@@ -1258,13 +1252,8 @@ fn run_large(args: &Args) {
         let auto_ns: Vec<u64> = (0..runs)
             .map(|_| {
                 time_ns(|| {
-                    let rs = execute_normalized_with_threads(
-                        &sharded,
-                        sel_probe,
-                        AccessPath::Auto,
-                        1,
-                    )
-                    .expect("auto path");
+                    let rs = execute(&sharded, sel_probe, &opts(AccessPath::Auto, 1))
+                        .expect("auto path");
                     std::hint::black_box(rs.len());
                 })
             })
@@ -1282,13 +1271,13 @@ fn run_large(args: &Args) {
         .iter()
         .copied()
         .find(|q| {
-            execute_normalized_with(&single, q, AccessPath::ForceScan)
+            execute(&single, q, &opts(AccessPath::ForceScan, 0))
                 .map(|rs| rs.len() == sel_rows && sel_rows > 0)
                 .unwrap_or(false)
         })
         .expect("selective probe recoverable");
     let (_, sel_explain) =
-        plan::select_rows(&sharded, sel_probe, AccessPath::Auto).expect("explain probe");
+        plan::select_rows(&sharded, sel_probe, &ExecOptions::default()).expect("explain probe");
     println!(
         "  selective probe: scan median {:.2} ms | index median {:.2} ms | \
          speedup {:.1}x | {} of {} shards pruned",
@@ -1305,12 +1294,12 @@ fn run_large(args: &Args) {
     let mut shards_pruned_total = 0usize;
     let mut queries_pruned = 0usize;
     for q in &sample {
-        let truth = execute_normalized_with(&single, q, AccessPath::ForceScan)
+        let truth = execute(&single, q, &opts(AccessPath::ForceScan, 0))
             .expect("truth scan");
         for t in [1usize, 8] {
             for path in [AccessPath::Auto, AccessPath::ForceScan, AccessPath::ForceIndex] {
                 let (rows, explain) =
-                    plan::select_rows_with_threads(&sharded, q, path, t).expect("sharded path");
+                    plan::select_rows(&sharded, q, &opts(path, t)).expect("sharded path");
                 if rows.as_slice() != truth.rows() {
                     mismatches += 1;
                     eprintln!("  MISMATCH ({path:?}, threads={t})");

@@ -7,7 +7,7 @@
 //! docs/PERFORMANCE.md for the methodology and the `BENCH_*.json`
 //! schema.
 
-use qcat_exec::ResultSet;
+use qcat_exec::{ExecOptions, ResultSet};
 use qcat_sql::NormalizedQuery;
 use qcat_study::{broaden_query, StudyEnv, StudyScale};
 use qcat_workload::WorkloadStatistics;
@@ -89,7 +89,7 @@ pub fn bench_env_at(scale: StudyScale, seed: u64, max_cases: usize) -> BenchEnv 
         let Some(qw) = broaden_query(w, &schema, &env.geography) else {
             continue;
         };
-        let Ok(result) = qcat_exec::execute_normalized(&env.relation, &qw) else {
+        let Ok(result) = qcat_exec::execute(&env.relation, &qw, &ExecOptions::default()) else {
             continue;
         };
         if result.len() > env.config.max_leaf_tuples {

@@ -793,7 +793,7 @@ mod tests {
     use crate::config::BucketCount;
     use crate::probability::ProbabilityEstimator;
     use qcat_data::{Field, RelationBuilder, Schema};
-    use qcat_exec::execute_normalized;
+    use qcat_exec::{execute, ExecOptions};
     use qcat_sql::parse_and_normalize;
     use qcat_workload::{PreprocessConfig, WorkloadLog};
 
@@ -858,7 +858,7 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let result = execute_normalized(&rel, &q).unwrap();
+        let result = execute(&rel, &q, &ExecOptions::default()).unwrap();
         let config = CategorizeConfig::default()
             .with_max_leaf_tuples(20)
             .with_attr_threshold(0.1)
@@ -924,7 +924,7 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let result = execute_normalized(&rel, &q).unwrap();
+        let result = execute(&rel, &q, &ExecOptions::default()).unwrap();
         assert!(result.is_empty());
         let tree = Categorizer::new(&st, CategorizeConfig::default()).categorize(&result, Some(&q));
         assert_eq!(tree.node_count(), 1);
@@ -1469,7 +1469,7 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let result = execute_normalized(&rel, &q).unwrap();
+        let result = execute(&rel, &q, &ExecOptions::default()).unwrap();
         let config = CategorizeConfig::default()
             .with_attr_threshold(0.1)
             .with_max_levels(1);

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Cost-model-driven automatic categorization of query results.
 //!
@@ -30,7 +30,7 @@
 //! ```
 //! use qcat_core::{CategorizeConfig, Categorizer};
 //! use qcat_data::{AttrType, Field, RelationBuilder, Schema};
-//! use qcat_exec::execute_normalized;
+//! use qcat_exec::{execute, ExecOptions};
 //! use qcat_sql::parse_and_normalize;
 //! use qcat_workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
 //!
@@ -61,7 +61,7 @@
 //!
 //! // Categorize a broad query's result.
 //! let q = parse_and_normalize("SELECT * FROM homes WHERE price >= 200000", &schema).unwrap();
-//! let result = execute_normalized(&homes, &q).unwrap();
+//! let result = execute(&homes, &q, &ExecOptions::default()).unwrap();
 //! let config = CategorizeConfig::default().with_max_leaf_tuples(10);
 //! let tree = Categorizer::new(&stats, config).categorize(&result, Some(&q));
 //! assert!(tree.node_count() > 1);

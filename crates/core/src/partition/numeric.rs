@@ -260,7 +260,7 @@ impl NumericPlan {
     /// splitpoint selection as [`NumericPlan::split_in_window`] and
     /// return the `(P(C), size)` pairs its buckets would have, from
     /// the node's counting pass. Bucket membership boundaries are
-    /// shared with [`build_buckets`], so sizes agree exactly.
+    /// shared with the private `build_buckets`, so sizes agree exactly.
     pub fn priced_split_in_window(
         &self,
         relation: &Relation,

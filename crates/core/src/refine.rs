@@ -2,7 +2,7 @@
 //!
 //! The paper's introduction observes that "after browsing the
 //! categorization hierarchy …, users often reformulate the query into
-//! a more focused narrower query. Therefore, categorization … [is]
+//! a more focused narrower query. Therefore, categorization … \[is\]
 //! indirectly useful even for subsequent reformulation." This module
 //! closes that loop: any node of a category tree can be turned back
 //! into SQL — the original query's conditions conjoined with the
@@ -162,7 +162,7 @@ mod tests {
     use crate::config::CategorizeConfig;
     use crate::Categorizer;
     use qcat_data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema};
-    use qcat_exec::execute_normalized;
+    use qcat_exec::{execute, ExecOptions};
     use qcat_sql::{parse_and_normalize, parse_select};
     use qcat_workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
 
@@ -205,7 +205,7 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let result = execute_normalized(rel, &q).unwrap();
+        let result = execute(rel, &q, &ExecOptions::default()).unwrap();
         let config = CategorizeConfig::default()
             .with_max_leaf_tuples(10)
             .with_attr_threshold(0.1);
@@ -222,7 +222,7 @@ mod tests {
         // Every node's refined query must select exactly its tset.
         for id in tree.dfs() {
             let refined = refine_query(&tree, id, Some(&q), "homes");
-            let selected = execute_normalized(&rel, &refined).unwrap();
+            let selected = execute(&rel, &refined, &ExecOptions::default()).unwrap();
             let mut got = selected.rows().to_vec();
             let mut want = tree.node(id).tset.clone();
             got.sort_unstable();
@@ -239,7 +239,7 @@ mod tests {
             let sql = refined_sql(&tree, id, Some(&q), "homes");
             let ast = parse_select(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
             let normalized = qcat_sql::normalize::normalize(&ast, rel.schema()).unwrap();
-            let selected = execute_normalized(&rel, &normalized).unwrap();
+            let selected = execute(&rel, &normalized, &ExecOptions::default()).unwrap();
             let mut got = selected.rows().to_vec();
             let mut want = tree.node(id).tset.clone();
             got.sort_unstable();

@@ -246,7 +246,7 @@ impl ShardIndexes {
 /// Intersection of two ascending row-id lists.
 ///
 /// Linear merge for comparable sizes; when one list is more than
-/// [`GALLOP_RATIO`]× the other, gallops (exponential probe + binary
+/// `GALLOP_RATIO` (8)× the other, gallops (exponential probe + binary
 /// search) through the larger list instead, giving
 /// `O(small · log large)`.
 pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {

@@ -13,7 +13,7 @@
 //!   for longer than the swap itself.
 //! - **Writers** call [`IngestTable::append_rows`]. Appends serialize
 //!   on one mutex; each builds a *new* relation via
-//!   [`Relation::begin_append`] → [`TailAppend::commit`] and swaps it
+//!   [`Relation::begin_append`] → [`crate::TailAppend::commit`] and swaps it
 //!   in together with `generation + 1` as a single assignment.
 //!
 //! Atomicity falls out of immutability: the visible relation is never

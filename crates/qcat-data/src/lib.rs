@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! In-memory data substrate for the qcat workspace.
 //!
@@ -9,10 +9,10 @@
 //! small thread-safe catalog.
 //!
 //! Design notes:
-//! - Relations are **immutable once built** ([`RelationBuilder`] /
-//!   [`Relation::freeze`]); every downstream structure (result sets,
-//!   category trees) refers to rows by `u32` row id, so categorization
-//!   never copies tuples. A relation is an ordered list of shared
+//! - Relations are **immutable once built** ([`RelationBuilder`] →
+//!   [`RelationBuilder::finish`]); every downstream structure (result
+//!   sets, category trees) refers to rows by `u32` row id, so
+//!   categorization never copies tuples. A relation is an ordered list of shared
 //!   [`Segment`]s (see the [`shard`] module); growth appends by
 //!   segment: [`Relation::begin_append`] stages a tail batch and
 //!   commits it as a *new* relation that shares every sealed segment

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Synthetic MSN House&Home-style data and workload generation.
 //!

@@ -1,6 +1,6 @@
 //! The selection executor.
 
-use crate::plan::{self, AccessPath};
+use crate::plan::{self, AccessPath, ExecOptions};
 use crate::result::ResultSet;
 use qcat_data::Relation;
 use qcat_data::{Catalog, DataError};
@@ -78,18 +78,9 @@ impl From<qcat_sql::NormalizeError> for ExecError {
     }
 }
 
-/// Execute a SQL string against a catalog, choosing scan vs. index
-/// automatically.
-pub fn execute(catalog: &Catalog, sql: &str) -> Result<ResultSet, ExecError> {
-    execute_with(catalog, sql, AccessPath::Auto)
-}
-
-/// Execute a SQL string against a catalog along a chosen access path.
-pub fn execute_with(
-    catalog: &Catalog,
-    sql: &str,
-    path: AccessPath,
-) -> Result<ResultSet, ExecError> {
+/// Parse `sql`, normalize it against its table in `catalog`, and
+/// [`execute`] it with default options.
+pub fn execute_sql(catalog: &Catalog, sql: &str) -> Result<ResultSet, ExecError> {
     let ast = {
         let _span = qcat_obs::span!("sql.parse", bytes = sql.len());
         parse_select(sql)?
@@ -99,129 +90,72 @@ pub fn execute_with(
         let _span = qcat_obs::span!("sql.normalize", has_predicate = ast.predicate.is_some());
         qcat_sql::normalize::normalize(&ast, relation.schema())?
     };
-    execute_normalized_with(&relation, &normalized, path)
+    execute(&relation, &normalized, &ExecOptions::default())
 }
 
-/// Execute an already-normalized query against its relation, choosing
-/// scan vs. index automatically.
-pub fn execute_normalized(
-    relation: &Relation,
-    query: &NormalizedQuery,
-) -> Result<ResultSet, ExecError> {
-    execute_normalized_with(relation, query, AccessPath::Auto)
-}
-
-/// Execute an already-normalized query along a chosen access path.
-///
-/// All paths produce the same result set; `path` only changes how the
-/// matching row ids are found (see [`plan`]).
+/// [`execute`] along `path` with the other options at their defaults.
+/// Kept only because the benchmark harness in `perfbench/` imports
+/// it; everything else calls [`execute`].
 pub fn execute_normalized_with(
     relation: &Relation,
     query: &NormalizedQuery,
     path: AccessPath,
 ) -> Result<ResultSet, ExecError> {
-    execute_normalized_with_threads(relation, query, path, 0)
+    execute(relation, query, &ExecOptions { path, ..ExecOptions::default() })
 }
 
-/// [`execute_normalized_with`] at an explicit thread width (`0` =
-/// auto via `QCAT_THREADS`). Thread width only changes how sharded
-/// scans are scheduled; the result set is byte-identical at every
-/// width.
-pub fn execute_normalized_with_threads(
+/// Execute an already-normalized query: select its rows (see
+/// [`plan::select_rows`]), then apply its ordering and limit.
+///
+/// Every option combination yields the same answer as
+/// `ExecOptions::default()`. A cold execution's rows are already in
+/// table order. Donor rows may carry the donor's ordering, so with no
+/// `ORDER BY` they are restored to table order; the sort itself is a
+/// total order, so the input order never shows through.
+///
+/// Runs under the ambient budget: the matched rows are charged
+/// against the row and heap caps, and a budget trip anywhere returns
+/// [`ExecError::Budget`] with no rows.
+pub fn execute(
     relation: &Relation,
     query: &NormalizedQuery,
-    path: AccessPath,
-    threads: usize,
+    opts: &ExecOptions<'_>,
 ) -> Result<ResultSet, ExecError> {
-    let mut span = qcat_obs::span!("exec.execute", rows_total = relation.len());
-    if let Some(fault) = qcat_fault::point("exec.execute") {
-        return Err(fault.into());
+    let mut span = match opts.donor {
+        None => qcat_obs::span!("exec.execute", rows_total = relation.len()),
+        Some(donor) => qcat_obs::span!("exec.residual", rows_in = donor.rows.len()),
+    };
+    if opts.donor.is_none() {
+        if let Some(fault) = qcat_fault::point("exec.execute") {
+            return Err(fault.into());
+        }
     }
-    let (mut rows, explain) = plan::select_rows_with_threads(relation, query, path, threads)?;
+    let (mut rows, explain) = plan::select_rows(relation, query, opts)?;
     if let Some(gas) = qcat_fault::current_gas() {
         gas.charge_rows(rows.len())?;
+        // The rows become the categorizer's root tuple set.
+        gas.charge_heap(rows.len() * std::mem::size_of::<u32>())?;
     }
     if qcat_obs::active() {
         span.set("rows_matched", rows.len());
-        span.set("used_index", explain.used_index);
-        if !explain.used_index {
-            qcat_obs::counter("exec.rows_scanned", relation.len() as i64);
+        match opts.donor {
+            None => {
+                span.set("used_index", explain.used_index);
+                if !explain.used_index {
+                    qcat_obs::counter("exec.rows_scanned", relation.len() as i64);
+                }
+                qcat_obs::counter("exec.rows_matched", rows.len() as i64);
+            }
+            Some(donor) => {
+                qcat_obs::counter("exec.residual.rows_in", donor.rows.len() as i64);
+                qcat_obs::counter("exec.residual.rows_matched", rows.len() as i64);
+            }
         }
-        qcat_obs::counter("exec.rows_matched", rows.len() as i64);
     }
     if !query.order_by.is_empty() {
         sort_rows(relation, &mut rows, &query.order_by);
-    }
-    if let Some(n) = query.limit {
-        rows.truncate(n);
-    }
-    Ok(ResultSet::new(
-        relation.clone(),
-        rows,
-        query.projection.clone(),
-    ))
-}
-
-/// Answer `query` from rows already proven to satisfy a *containing*
-/// query: evaluate only the `residual` conjuncts over `cached_rows`,
-/// then apply `query`'s ordering and limit.
-///
-/// This is the serving layer's containment-hit path (see
-/// `qcat-serve`): when a cached entry's normalized conjuncts are all
-/// implied by `query`'s (`qcat_sql::contain::subsumes`), the cached
-/// row ids are a superset of the answer and only the conjuncts listed
-/// in `residual` (`qcat_sql::contain::residual_attrs`) still
-/// discriminate. The output is byte-identical to a cold
-/// [`execute_normalized_with`] of the same query: the post-filter
-/// preserves candidate order, rows are restored to table order when no
-/// `ORDER BY` is present, and the sort itself is a total order, so the
-/// input order never shows through.
-///
-/// Runs under the ambient budget like every execution: the filter
-/// polls the gas every [`CompiledPredicate::CANCEL_STRIDE`] rows and
-/// the matched rows are charged, so a containment hit can still refuse
-/// cleanly on exhaustion.
-pub fn execute_residual(
-    relation: &Relation,
-    query: &NormalizedQuery,
-    cached_rows: &[u32],
-    residual: &[qcat_data::AttrId],
-) -> Result<ResultSet, ExecError> {
-    use qcat_sql::eval::CompiledPredicate;
-    let mut span = qcat_obs::span!("exec.residual", rows_in = cached_rows.len());
-    if let Some(fault) = qcat_fault::point("exec.residual") {
-        return Err(fault.into());
-    }
-    let predicate = CompiledPredicate::compile_where(query, relation, |a| residual.contains(&a))?;
-    let mut rows = match qcat_fault::current_gas() {
-        None => predicate.filter(relation, Some(cached_rows)),
-        Some(gas) => {
-            let mut cancel = || !gas.checkpoint();
-            predicate
-                .filter_cancellable(relation, Some(cached_rows), &mut cancel)
-                .ok_or_else(|| {
-                    ExecError::Budget(
-                        gas.exceeded()
-                            .unwrap_or(qcat_fault::BudgetExceeded::Cancelled),
-                    )
-                })?
-        }
-    };
-    if let Some(gas) = qcat_fault::current_gas() {
-        gas.charge_rows(rows.len())?;
-    }
-    if qcat_obs::active() {
-        span.set("rows_matched", rows.len());
-        qcat_obs::counter("exec.residual.rows_in", cached_rows.len() as i64);
-        qcat_obs::counter("exec.residual.rows_matched", rows.len() as i64);
-    }
-    if query.order_by.is_empty() {
-        // Donor rows may carry the donor's ordering; the cold path
-        // yields table order, so restore it (a no-op when already
-        // sorted).
+    } else if opts.donor.is_some() {
         rows.sort_unstable();
-    } else {
-        sort_rows(relation, &mut rows, &query.order_by);
     }
     if let Some(n) = query.limit {
         rows.truncate(n);
@@ -263,46 +197,12 @@ fn sort_rows(relation: &Relation, rows: &mut [u32], keys: &[(qcat_data::AttrId, 
     });
 }
 
-/// A convenience wrapper owning a catalog; the "database" handle the
-/// examples use.
-#[derive(Debug, Default)]
-pub struct Executor {
-    catalog: Catalog,
-}
-
-impl Executor {
-    /// Empty executor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Register a table.
-    pub fn register(&self, name: &str, relation: Relation) -> Result<(), DataError> {
-        self.catalog.register(name, relation)
-    }
-
-    /// Run a query.
-    pub fn query(&self, sql: &str) -> Result<ResultSet, ExecError> {
-        execute(&self.catalog, sql)
-    }
-
-    /// Run a query along a chosen access path.
-    pub fn query_with(&self, sql: &str, path: AccessPath) -> Result<ResultSet, ExecError> {
-        execute_with(&self.catalog, sql, path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcat_data::{AttrType, Field, RelationBuilder, Schema, Value};
 
-    fn setup() -> Executor {
+    fn setup() -> Catalog {
         let schema = Schema::new(vec![
             Field::new("neighborhood", AttrType::Categorical),
             Field::new("price", AttrType::Float),
@@ -320,16 +220,41 @@ mod tests {
             b.push_row(&[(*n).into(), (*p).into(), (*beds).into()])
                 .unwrap();
         }
-        let exec = Executor::new();
-        exec.register("listproperty", b.finish().unwrap()).unwrap();
-        exec
+        let catalog = Catalog::new();
+        catalog.register("listproperty", b.finish().unwrap()).unwrap();
+        catalog
+    }
+
+    fn execute_cold(relation: &Relation, query: &NormalizedQuery) -> Result<ResultSet, ExecError> {
+        execute(relation, query, &ExecOptions::default())
+    }
+
+    /// [`execute`] over `donor_rows` with `residual` still to check.
+    fn via_donor(
+        relation: &Relation,
+        query: &NormalizedQuery,
+        donor_rows: &[u32],
+        residual: &[qcat_data::AttrId],
+    ) -> Result<ResultSet, ExecError> {
+        let donor = plan::Donor {
+            rows: donor_rows,
+            residual,
+        };
+        execute(
+            relation,
+            query,
+            &ExecOptions {
+                donor: Some(donor),
+                ..ExecOptions::default()
+            },
+        )
     }
 
     #[test]
     fn end_to_end_select() {
-        let exec = setup();
-        let rs = exec
-            .query(
+        let catalog = setup();
+        let rs = execute_sql(
+                &catalog,
                 "SELECT * FROM ListProperty WHERE neighborhood IN ('Redmond') \
                  AND price BETWEEN 200000 AND 300000",
             )
@@ -340,32 +265,32 @@ mod tests {
 
     #[test]
     fn unknown_table_is_data_error() {
-        let exec = setup();
-        let err = exec.query("SELECT * FROM nope").unwrap_err();
+        let catalog = setup();
+        let err = execute_sql(&catalog, "SELECT * FROM nope").unwrap_err();
         assert!(matches!(err, ExecError::Data(DataError::UnknownTable(_))));
     }
 
     #[test]
     fn parse_error_propagates() {
-        let exec = setup();
-        let err = exec.query("SELEC * FROM t").unwrap_err();
+        let catalog = setup();
+        let err = execute_sql(&catalog, "SELEC * FROM t").unwrap_err();
         assert!(matches!(err, ExecError::Sql(SqlError::Parse(_))));
     }
 
     #[test]
     fn normalize_error_propagates() {
-        let exec = setup();
-        let err = exec
-            .query("SELECT * FROM listproperty WHERE zip = 1")
+        let catalog = setup();
+        let err = execute_sql(
+                &catalog,"SELECT * FROM listproperty WHERE zip = 1")
             .unwrap_err();
         assert!(matches!(err, ExecError::Sql(SqlError::Normalize(_))));
     }
 
     #[test]
     fn projection_carries_through() {
-        let exec = setup();
-        let rs = exec
-            .query("SELECT price FROM listproperty WHERE bedroomcount >= 4")
+        let catalog = setup();
+        let rs = execute_sql(
+                &catalog,"SELECT price FROM listproperty WHERE bedroomcount >= 4")
             .unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.row_values(0).unwrap(), vec![Value::Float(260_000.0)]);
@@ -373,49 +298,49 @@ mod tests {
 
     #[test]
     fn order_by_and_limit() {
-        let exec = setup();
-        let rs = exec
-            .query("SELECT * FROM listproperty ORDER BY price DESC LIMIT 2")
+        let catalog = setup();
+        let rs = execute_sql(
+                &catalog,"SELECT * FROM listproperty ORDER BY price DESC LIMIT 2")
             .unwrap();
         assert_eq!(rs.rows(), &[2, 1]); // 305k, 260k
-        let rs = exec
-            .query("SELECT * FROM listproperty ORDER BY neighborhood, price")
+        let rs = execute_sql(
+                &catalog,"SELECT * FROM listproperty ORDER BY neighborhood, price")
             .unwrap();
         // Bellevue(260k), Redmond(199k), Redmond(210k), Seattle(305k)
         assert_eq!(rs.rows(), &[1, 3, 0, 2]);
-        let rs = exec.query("SELECT * FROM listproperty LIMIT 0").unwrap();
+        let rs = execute_sql(&catalog, "SELECT * FROM listproperty LIMIT 0").unwrap();
         assert!(rs.is_empty());
         // LIMIT larger than the result is harmless.
-        let rs = exec.query("SELECT * FROM listproperty LIMIT 99").unwrap();
+        let rs = execute_sql(&catalog, "SELECT * FROM listproperty LIMIT 99").unwrap();
         assert_eq!(rs.len(), 4);
     }
 
     #[test]
     fn bad_order_by_attribute_rejected() {
-        let exec = setup();
-        let err = exec
-            .query("SELECT * FROM listproperty ORDER BY zip")
+        let catalog = setup();
+        let err = execute_sql(
+                &catalog,"SELECT * FROM listproperty ORDER BY zip")
             .unwrap_err();
         assert!(matches!(err, ExecError::Sql(SqlError::Normalize(_))));
-        let err = exec
-            .query("SELECT * FROM listproperty LIMIT -3")
+        let err = execute_sql(
+                &catalog,"SELECT * FROM listproperty LIMIT -3")
             .unwrap_err();
         assert!(matches!(err, ExecError::Sql(SqlError::Parse(_))));
     }
 
     #[test]
     fn no_where_returns_everything() {
-        let exec = setup();
-        assert_eq!(exec.query("SELECT * FROM listproperty").unwrap().len(), 4);
+        let catalog = setup();
+        assert_eq!(execute_sql(&catalog, "SELECT * FROM listproperty").unwrap().len(), 4);
     }
 
     #[test]
     fn row_cap_refuses_large_results() {
-        let exec = setup();
+        let catalog = setup();
         let budget = qcat_fault::Budget::UNLIMITED.with_max_rows(2);
         let gas = budget.start();
         let err = qcat_fault::with_budget(&gas, || {
-            exec.query("SELECT * FROM listproperty").unwrap_err()
+            execute_sql(&catalog, "SELECT * FROM listproperty").unwrap_err()
         });
         assert_eq!(
             err,
@@ -425,18 +350,31 @@ mod tests {
         // Under the cap, a fresh gas on the same budget passes.
         let gas = budget.start();
         let ok = qcat_fault::with_budget(&gas, || {
-            exec.query("SELECT * FROM listproperty WHERE bedroomcount >= 4")
+            execute_sql(&catalog, "SELECT * FROM listproperty WHERE bedroomcount >= 4")
         });
         assert_eq!(ok.unwrap().len(), 2);
     }
 
     #[test]
+    fn heap_cap_counts_the_answer_rows() {
+        let catalog = setup();
+        // Four matching row ids hold 16 bytes.
+        let sql = "SELECT * FROM listproperty";
+        let gas = qcat_fault::Budget::UNLIMITED.with_max_heap_bytes(15).start();
+        let err = qcat_fault::with_budget(&gas, || execute_sql(&catalog, sql).unwrap_err());
+        assert_eq!(err, ExecError::Budget(qcat_fault::BudgetExceeded::Heap));
+        let gas = qcat_fault::Budget::UNLIMITED.with_max_heap_bytes(16).start();
+        let ok = qcat_fault::with_budget(&gas, || execute_sql(&catalog, sql));
+        assert_eq!(ok.unwrap().len(), 4);
+    }
+
+    #[test]
     fn expired_deadline_stops_the_scan() {
-        let exec = setup();
+        let catalog = setup();
         let budget = qcat_fault::Budget::UNLIMITED.with_deadline(std::time::Duration::ZERO);
         let gas = budget.start();
         let err = qcat_fault::with_budget(&gas, || {
-            exec.query("SELECT * FROM listproperty WHERE price > 0")
+            execute_sql(&catalog, "SELECT * FROM listproperty WHERE price > 0")
                 .unwrap_err()
         });
         assert_eq!(err, ExecError::Budget(qcat_fault::BudgetExceeded::Deadline));
@@ -444,8 +382,8 @@ mod tests {
 
     #[test]
     fn residual_filter_matches_cold_execution() {
-        let exec = setup();
-        let relation = exec.catalog().get("listproperty").unwrap();
+        let catalog = setup();
+        let relation = catalog.get("listproperty").unwrap();
         let schema = relation.schema().clone();
         let wide =
             qcat_sql::parse_and_normalize("SELECT * FROM listproperty WHERE price <= 400000", &schema)
@@ -456,18 +394,18 @@ mod tests {
         )
         .unwrap();
         assert!(qcat_sql::subsumes(&wide, &tight));
-        let cached = execute_normalized(&relation, &wide).unwrap();
+        let cached = execute_cold(&relation, &wide).unwrap();
         let residual = qcat_sql::residual_attrs(&wide, &tight);
-        let via_cache = execute_residual(&relation, &tight, cached.rows(), &residual).unwrap();
-        let cold = execute_normalized(&relation, &tight).unwrap();
+        let via_cache = via_donor(&relation, &tight, cached.rows(), &residual).unwrap();
+        let cold = execute_cold(&relation, &tight).unwrap();
         assert_eq!(via_cache.rows(), cold.rows());
         assert_eq!(via_cache.projection(), cold.projection());
     }
 
     #[test]
     fn residual_restores_table_order_and_applies_limit() {
-        let exec = setup();
-        let relation = exec.catalog().get("listproperty").unwrap();
+        let catalog = setup();
+        let relation = catalog.get("listproperty").unwrap();
         let schema = relation.schema().clone();
         // Donor ordered by price DESC; refinement drops ORDER BY, adds
         // a LIMIT — cold answers come in table order and truncated.
@@ -482,11 +420,11 @@ mod tests {
         )
         .unwrap();
         assert!(qcat_sql::subsumes(&wide, &tight));
-        let cached = execute_normalized(&relation, &wide).unwrap();
+        let cached = execute_cold(&relation, &wide).unwrap();
         assert_ne!(cached.rows(), &[0, 1, 2, 3], "donor really is reordered");
         let residual = qcat_sql::residual_attrs(&wide, &tight);
-        let via_cache = execute_residual(&relation, &tight, cached.rows(), &residual).unwrap();
-        let cold = execute_normalized(&relation, &tight).unwrap();
+        let via_cache = via_donor(&relation, &tight, cached.rows(), &residual).unwrap();
+        let cold = execute_cold(&relation, &tight).unwrap();
         assert_eq!(via_cache.rows(), cold.rows());
         // And the ordered refinement sorts by the tight query's keys.
         let tight_ord = qcat_sql::parse_and_normalize(
@@ -495,15 +433,15 @@ mod tests {
         )
         .unwrap();
         let residual = qcat_sql::residual_attrs(&wide, &tight_ord);
-        let via_cache = execute_residual(&relation, &tight_ord, cached.rows(), &residual).unwrap();
-        let cold = execute_normalized(&relation, &tight_ord).unwrap();
+        let via_cache = via_donor(&relation, &tight_ord, cached.rows(), &residual).unwrap();
+        let cold = execute_cold(&relation, &tight_ord).unwrap();
         assert_eq!(via_cache.rows(), cold.rows());
     }
 
     #[test]
     fn residual_honors_budget_and_faults() {
-        let exec = setup();
-        let relation = exec.catalog().get("listproperty").unwrap();
+        let catalog = setup();
+        let relation = catalog.get("listproperty").unwrap();
         let schema = relation.schema().clone();
         let tight =
             qcat_sql::parse_and_normalize("SELECT * FROM listproperty WHERE price > 0", &schema)
@@ -512,28 +450,94 @@ mod tests {
         let budget = qcat_fault::Budget::UNLIMITED.with_max_rows(2);
         let gas = budget.start();
         let err = qcat_fault::with_budget(&gas, || {
-            execute_residual(&relation, &tight, &all, &[qcat_data::AttrId(1)]).unwrap_err()
+            via_donor(&relation, &tight, &all, &[qcat_data::AttrId(1)]).unwrap_err()
         });
         assert_eq!(err, ExecError::Budget(qcat_fault::BudgetExceeded::Rows));
         let plan = qcat_fault::FaultPlan::parse("exec.residual:error").unwrap();
         let err = qcat_fault::with_plan(&plan, || {
-            execute_residual(&relation, &tight, &all, &[qcat_data::AttrId(1)]).unwrap_err()
+            via_donor(&relation, &tight, &all, &[qcat_data::AttrId(1)]).unwrap_err()
         });
         assert!(matches!(err, ExecError::Fault(f) if f.site == "exec.residual"));
     }
 
+    /// Every combination of path, width and donor answers exactly like
+    /// a cold default execution, on a multi-segment indexed relation.
+    #[test]
+    fn option_combinations_match_the_cold_default() {
+        let schema = Schema::new(vec![
+            Field::new("neighborhood", AttrType::Categorical),
+            Field::new("price", AttrType::Float),
+            Field::new("bedroomcount", AttrType::Int),
+        ])
+        .unwrap();
+        let hoods = ["Redmond", "Bellevue", "Seattle", "Issaquah", "Kirkland"];
+        let mut b = RelationBuilder::with_capacity(schema, 60)
+            .with_shard_rows(7)
+            .with_indexes();
+        for i in 0..60usize {
+            let price = 150_000.0 + ((i * 37_117) % 300_000) as f64;
+            b.push_row(&[hoods[i * 7 % 5].into(), price.into(), ((i % 5 + 1) as i64).into()])
+                .unwrap();
+        }
+        let relation = b.finish().unwrap();
+        assert!(relation.shards().shard_count() > 1);
+        let schema = relation.schema().clone();
+        let parse = |sql: &str| qcat_sql::parse_and_normalize(sql, &schema).unwrap();
+
+        let wide = "SELECT * FROM homes WHERE price <= 400000";
+        let table_order = execute_cold(&relation, &parse(wide)).unwrap();
+        let price_desc = execute_cold(&relation, &parse(&format!("{wide} ORDER BY price DESC")))
+            .unwrap();
+        assert_ne!(table_order.rows(), price_desc.rows(), "the donor orders differ");
+        let donors: [Option<&[u32]>; 3] = [None, Some(table_order.rows()), Some(price_desc.rows())];
+
+        for sql in [
+            "SELECT * FROM homes WHERE price <= 400000 AND bedroomcount >= 3",
+            "SELECT price, neighborhood FROM homes \
+             WHERE price <= 300000 AND neighborhood IN ('Redmond', 'Bellevue')",
+            "SELECT * FROM homes WHERE price BETWEEN 200000 AND 350000 LIMIT 4",
+            "SELECT * FROM homes WHERE price <= 400000 AND bedroomcount IN (2, 4) \
+             ORDER BY price DESC LIMIT 5",
+            "SELECT neighborhood FROM homes WHERE price < 390000 ORDER BY neighborhood, price",
+        ] {
+            let query = parse(sql);
+            assert!(qcat_sql::subsumes(&parse(wide), &query), "{sql}");
+            let residual = qcat_sql::residual_attrs(&parse(wide), &query);
+            let expected = execute_cold(&relation, &query).unwrap();
+            for path in [AccessPath::Auto, AccessPath::ForceScan, AccessPath::ForceIndex] {
+                for threads in [1, 2] {
+                    for donor_rows in donors {
+                        let opts = ExecOptions {
+                            path,
+                            threads,
+                            donor: donor_rows.map(|rows| plan::Donor {
+                                rows,
+                                residual: &residual,
+                            }),
+                        };
+                        let got = execute(&relation, &query, &opts).unwrap();
+                        let donor = donor_rows.is_some();
+                        let case = format!("{sql}: {path:?}, threads={threads}, donor={donor}");
+                        assert_eq!(got.rows(), expected.rows(), "{case}");
+                        assert_eq!(got.projection(), expected.projection(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn injected_faults_surface_as_structured_errors() {
-        let exec = setup();
+        let catalog = setup();
         for site in ["exec.execute", "exec.plan", "exec.scan"] {
             let plan = qcat_fault::FaultPlan::parse(&format!("{site}:error")).unwrap();
             let err = qcat_fault::with_plan(&plan, || {
-                exec.query("SELECT * FROM listproperty").unwrap_err()
+                execute_sql(&catalog, "SELECT * FROM listproperty").unwrap_err()
             });
             assert_eq!(err, ExecError::Fault(qcat_fault::Fault { site }));
             assert!(err.to_string().contains(site), "display names the site");
         }
         // The plan is scoped: outside with_plan the same query succeeds.
-        assert_eq!(exec.query("SELECT * FROM listproperty").unwrap().len(), 4);
+        assert_eq!(execute_sql(&catalog, "SELECT * FROM listproperty").unwrap().len(), 4);
     }
 }

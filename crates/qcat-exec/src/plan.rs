@@ -3,9 +3,8 @@
 //!
 //! The executor's historical strategy — compile the predicate and
 //! scan every row — costs `O(N)` per query regardless of
-//! selectivity. When the relation's segments carry
-//! [`ShardIndexes`](qcat_data::ShardIndexes), this planner answers each
-//! conjunct from the matching index instead:
+//! selectivity. When the relation's segments carry [`ShardIndexes`],
+//! this planner answers each conjunct from the matching index instead:
 //!
 //! - `IN` / `=` on a categorical attribute → union of the postings
 //!   lists of the accepted dictionary codes;
@@ -16,12 +15,12 @@
 //! Costing uses **exact** cardinalities, read from the indexes for
 //! free: postings lengths and slice widths. The plan is: sort the
 //! index-answerable conjuncts by cardinality; if even the cheapest
-//! selects more than [`SCAN_FALLBACK_NUM`]/[`SCAN_FALLBACK_DEN`] of
-//! the relation, scan (the scan touches each row once; materializing
+//! selects more than a quarter (`SCAN_FALLBACK_NUM / SCAN_FALLBACK_DEN`)
+//! of the relation, scan (the scan touches each row once; materializing
 //! near-total row-id lists costs more than it saves). Otherwise start
 //! from the smallest list and intersect larger lists smallest-first
 //! (galloping kicks in for skewed sizes); a conjunct whose list would
-//! dwarf the running candidate set ([`INTERSECT_RATIO`]×) is cheaper
+//! dwarf the running candidate set (`INTERSECT_RATIO` = 8×) is cheaper
 //! to apply as a **residual** row-at-a-time filter over the candidate
 //! list, exactly like any conjunct no index can answer.
 //!
@@ -43,9 +42,14 @@
 //!   changes how much work runs, never which rows come back; exact
 //!   index cardinalities are summed over surviving segments only.
 //!
-//! Every path yields ascending row ids, so index output is
+//! Every cold path yields ascending row ids, so index output is
 //! bit-compatible with scan output; `tests` pin that equality on
 //! every fixture, in every layout.
+//!
+//! **Donors.** When [`ExecOptions::donor`] holds the rows of a
+//! subsuming query, none of the above runs: the same residual filter
+//! the index path uses keeps the donor rows that pass the residual
+//! conjuncts, in donor order.
 
 use crate::executor::ExecError;
 use qcat_data::{intersect_sorted, union_sorted, AttrId, Relation, Segment, ShardIndexes};
@@ -55,7 +59,7 @@ use qcat_sql::eval::CompiledPredicate;
 use qcat_sql::normalize::{AttrCondition, NumericRange};
 use qcat_sql::NormalizedQuery;
 
-/// Which access path `execute_normalized_with` may take.
+/// Which access path a cold execution may take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccessPath {
     /// Cost-based choice: index when present and selective, else scan.
@@ -127,26 +131,52 @@ enum Fetch {
     Values(Vec<f64>),
 }
 
-/// Select the matching row ids of `query` against `relation` along
-/// `path` at auto thread width. Rows come back ascending (table
+/// How [`crate::execute`] and [`select_rows`] find a query's rows.
+/// `ExecOptions::default()` is a cold execution on the cost-based
+/// path at auto thread width.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions<'a> {
+    /// Scan vs. index for a cold execution (unused with a donor).
+    pub path: AccessPath,
+    /// Thread width of segment scans (`0` = auto via
+    /// `QCAT_THREADS`). Rows are byte-identical at every width.
+    pub threads: usize,
+    /// Rows of a subsuming query to filter instead of the relation.
+    pub donor: Option<Donor<'a>>,
+}
+
+/// Rows already proven to contain the answer: the rows of a query
+/// that subsumes this one (`qcat_sql::subsumes`), in any order. Only
+/// the `residual` conjuncts (`qcat_sql::residual_attrs`) still
+/// discriminate, so the planner filters these rows by them alone.
+#[derive(Debug, Clone, Copy)]
+pub struct Donor<'a> {
+    /// The subsuming query's row ids.
+    pub rows: &'a [u32],
+    /// Attributes whose conditions the subsuming query does not imply.
+    pub residual: &'a [AttrId],
+}
+
+/// Select the matching row ids of `query` against `relation`.
+///
+/// With a donor, the residual conjuncts filter the donor's rows and
+/// the rows keep the donor's order. Otherwise `opts.path` picks scan
+/// or index at `opts.threads`, and rows come back ascending (table
 /// order) on every path.
 pub fn select_rows(
     relation: &Relation,
     query: &NormalizedQuery,
-    path: AccessPath,
+    opts: &ExecOptions<'_>,
 ) -> Result<(Vec<u32>, PlanExplain), ExecError> {
-    select_rows_with_threads(relation, query, path, 0)
-}
-
-/// [`select_rows`] at an explicit thread width (`0` = auto via
-/// `QCAT_THREADS`). Threads only change how segment scans are
-/// scheduled; the returned rows are byte-identical at every width.
-pub fn select_rows_with_threads(
-    relation: &Relation,
-    query: &NormalizedQuery,
-    path: AccessPath,
-    threads: usize,
-) -> Result<(Vec<u32>, PlanExplain), ExecError> {
+    let ExecOptions {
+        path,
+        threads,
+        donor,
+    } = *opts;
+    if let Some(donor) = donor {
+        let rows = residual_filter(relation, query, donor.residual, donor.rows, "exec.residual")?;
+        return Ok((rows, PlanExplain::scan(donor.residual.len(), 0)));
+    }
     if let Some(fault) = qcat_fault::point("exec.plan") {
         return Err(fault.into());
     }
@@ -262,7 +292,7 @@ pub fn select_rows_with_threads(
 
     explain.residual_conjuncts = residual.len();
     if !rows.is_empty() && !residual.is_empty() {
-        rows = residual_filter(relation, query, &residual, &rows)?;
+        rows = residual_filter(relation, query, &residual, &rows, "exec.scan")?;
     }
     if qcat_obs::active() {
         span.set("rows_matched", rows.len());
@@ -270,15 +300,17 @@ pub fn select_rows_with_threads(
     Ok((rows, explain))
 }
 
-/// Residual filter of index-path candidates: compile the conditions
-/// on `attrs` and keep the candidates that pass them.
+/// Residual filter of index-path candidates or donor rows: compile
+/// the conditions on `attrs` and keep the candidates that pass them,
+/// in candidate order. `site` is the filter's fault point.
 fn residual_filter(
     relation: &Relation,
     query: &NormalizedQuery,
     attrs: &[AttrId],
     candidates: &[u32],
+    site: &'static str,
 ) -> Result<Vec<u32>, ExecError> {
-    if let Some(fault) = qcat_fault::point("exec.scan") {
+    if let Some(fault) = qcat_fault::point(site) {
         return Err(fault.into());
     }
     let predicate = CompiledPredicate::compile_where(query, relation, |a| attrs.contains(&a))?;
@@ -541,6 +573,14 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn opts(path: AccessPath, threads: usize) -> ExecOptions<'static> {
+        ExecOptions {
+            path,
+            threads,
+            donor: None,
+        }
+    }
+
     fn homes(indexed: bool) -> Relation {
         homes_sharded(indexed, 0)
     }
@@ -552,7 +592,7 @@ mod tests {
     fn assert_paths_agree(sql: &str) -> Vec<u32> {
         let plain = homes(false);
         let q = parse_and_normalize(sql, plain.schema()).unwrap();
-        let (scan, se) = select_rows(&plain, &q, AccessPath::Auto).unwrap();
+        let (scan, se) = select_rows(&plain, &q, &opts(AccessPath::Auto, 0)).unwrap();
         assert!(!se.used_index, "unindexed relation must scan: {sql}");
         for shard_rows in [0, 3] {
             for indexed in [false, true] {
@@ -560,7 +600,7 @@ mod tests {
                 for path in [AccessPath::Auto, AccessPath::ForceScan, AccessPath::ForceIndex] {
                     for threads in [1, 2, 8] {
                         let (rows, _) =
-                            select_rows_with_threads(&rel, &q, path, threads).unwrap();
+                            select_rows(&rel, &q, &opts(path, threads)).unwrap();
                         assert_eq!(
                             rows, scan,
                             "{path:?} diverged on {sql} (shard_rows={shard_rows}, \
@@ -571,7 +611,7 @@ mod tests {
             }
         }
         let indexed = homes(true);
-        let (_, fe) = select_rows(&indexed, &q, AccessPath::ForceIndex).unwrap();
+        let (_, fe) = select_rows(&indexed, &q, &opts(AccessPath::ForceIndex, 0)).unwrap();
         assert!(
             fe.used_index || q.conditions.is_empty(),
             "ForceIndex should engage indexes when conjuncts exist: {sql}"
@@ -587,7 +627,7 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let (rows, e) = select_rows(&rel, &q, AccessPath::Auto).unwrap();
+        let (rows, e) = select_rows(&rel, &q, &opts(AccessPath::Auto, 0)).unwrap();
         assert_eq!(rows, vec![4]);
         assert!(e.used_index);
         assert_eq!(e.index_conjuncts, 1);
@@ -605,10 +645,10 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let (rows, e) = select_rows(&rel, &q, AccessPath::Auto).unwrap();
+        let (rows, e) = select_rows(&rel, &q, &opts(AccessPath::Auto, 0)).unwrap();
         assert_eq!(rows.len(), rel.len());
         assert!(!e.used_index);
-        let (rows, e) = select_rows(&rel, &q, AccessPath::ForceIndex).unwrap();
+        let (rows, e) = select_rows(&rel, &q, &opts(AccessPath::ForceIndex, 0)).unwrap();
         assert_eq!(rows.len(), rel.len());
         assert!(e.used_index);
     }
@@ -625,18 +665,18 @@ mod tests {
             rel.schema(),
         )
         .unwrap();
-        let (rows, e) = select_rows(&rel, &q, AccessPath::Auto).unwrap();
+        let (rows, e) = select_rows(&rel, &q, &opts(AccessPath::Auto, 0)).unwrap();
         assert_eq!(rows, vec![4]);
         assert!(e.used_index);
         assert_eq!(e.shards_pruned, 2, "code 'Issaquah' absent from shards 0 and 2");
         let q = parse_and_normalize("SELECT * FROM homes WHERE price > 400000", rel.schema())
             .unwrap();
-        let (rows, e) = select_rows(&rel, &q, AccessPath::Auto).unwrap();
+        let (rows, e) = select_rows(&rel, &q, &opts(AccessPath::Auto, 0)).unwrap();
         assert_eq!(rows, vec![6]);
         assert_eq!(e.shards_pruned, 2);
         // The scan path prunes identically.
         let unindexed = homes_sharded(false, 3);
-        let (rows, e) = select_rows(&unindexed, &q, AccessPath::Auto).unwrap();
+        let (rows, e) = select_rows(&unindexed, &q, &opts(AccessPath::Auto, 0)).unwrap();
         assert_eq!(rows, vec![6]);
         assert!(!e.used_index);
         assert_eq!(e.shards_pruned, 2);
@@ -716,7 +756,7 @@ mod tests {
         .unwrap();
         let plan = qcat_fault::FaultPlan::parse("exec.fetch:error").unwrap();
         let err = qcat_fault::with_plan(&plan, || {
-            select_rows(&rel, &q, AccessPath::Auto).unwrap_err()
+            select_rows(&rel, &q, &opts(AccessPath::Auto, 0)).unwrap_err()
         });
         assert_eq!(err, ExecError::Fault(qcat_fault::Fault { site: "exec.fetch" }));
 
@@ -724,7 +764,7 @@ mod tests {
             qcat_fault::Budget::UNLIMITED.with_deadline(std::time::Duration::ZERO);
         let gas = budget.start();
         let err = qcat_fault::with_budget(&gas, || {
-            select_rows(&rel, &q, AccessPath::Auto).unwrap_err()
+            select_rows(&rel, &q, &opts(AccessPath::Auto, 0)).unwrap_err()
         });
         assert_eq!(err, ExecError::Budget(BudgetExceeded::Deadline));
     }
@@ -740,7 +780,7 @@ mod tests {
             .start();
         for threads in [1, 2, 8] {
             let err = qcat_fault::with_budget(&gas, || {
-                select_rows_with_threads(&rel, &q, AccessPath::Auto, threads).unwrap_err()
+                select_rows(&rel, &q, &opts(AccessPath::Auto, threads)).unwrap_err()
             });
             assert_eq!(err, ExecError::Budget(BudgetExceeded::Deadline), "threads={threads}");
         }
@@ -748,7 +788,7 @@ mod tests {
         // structured executor fault.
         let plan = qcat_fault::FaultPlan::parse("pool.task:error").unwrap();
         let err = qcat_fault::with_plan(&plan, || {
-            select_rows_with_threads(&rel, &q, AccessPath::Auto, 2).unwrap_err()
+            select_rows(&rel, &q, &opts(AccessPath::Auto, 2)).unwrap_err()
         });
         assert_eq!(err, ExecError::Fault(qcat_fault::Fault { site: "pool.task" }));
     }
@@ -763,7 +803,7 @@ mod tests {
             )
             .unwrap();
             for path in [AccessPath::Auto, AccessPath::ForceScan, AccessPath::ForceIndex] {
-                let (rows, _) = select_rows(&rel, &q, path).unwrap();
+                let (rows, _) = select_rows(&rel, &q, &opts(path, 0)).unwrap();
                 assert!(rows.windows(2).all(|w| w[0] < w[1]), "{path:?}");
             }
         }

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Exploration simulation: measuring the *actual* information-overload
 //! cost of a category tree.

@@ -225,7 +225,7 @@ mod tests {
     use super::*;
     use qcat_core::{CategorizeConfig, Categorizer};
     use qcat_data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema};
-    use qcat_exec::execute_normalized;
+    use qcat_exec::{execute, ExecOptions};
     use qcat_sql::parse_and_normalize;
     use qcat_workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
 
@@ -264,7 +264,7 @@ mod tests {
 
     fn tree_for(rel: &Relation, stats: &WorkloadStatistics) -> qcat_core::CategoryTree {
         let q = parse_and_normalize("SELECT * FROM t WHERE price >= 200000", rel.schema()).unwrap();
-        let result = execute_normalized(rel, &q).unwrap();
+        let result = execute(rel, &q, &ExecOptions::default()).unwrap();
         let config = CategorizeConfig::default()
             .with_max_leaf_tuples(10)
             .with_attr_threshold(0.1);

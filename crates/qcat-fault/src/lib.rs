@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Resource governance and fault injection for the qcat workspace.
 //!

@@ -13,8 +13,6 @@ pub enum Rule {
     L2FloatCmp,
     /// L3: forbidden inter-crate dependency (layering violation).
     L3Layering,
-    /// L4: public item in `qcat-core` without a doc comment.
-    L4MissingDocs,
     /// L5: raw `println!`/`eprintln!`/`dbg!` in non-test library code
     /// (binaries and the `qcat-obs` exporter are exempt).
     L5RawPrint,
@@ -89,7 +87,6 @@ impl Rule {
             Rule::L1Panic => "L1",
             Rule::L2FloatCmp => "L2",
             Rule::L3Layering => "L3",
-            Rule::L4MissingDocs => "L4",
             Rule::L5RawPrint => "L5",
             Rule::L6RawSpawn => "L6",
             Rule::L7LockUnwrap => "L7",
@@ -184,7 +181,6 @@ mod tests {
             (Rule::L1Panic, "L1"),
             (Rule::L2FloatCmp, "L2"),
             (Rule::L3Layering, "L3"),
-            (Rule::L4MissingDocs, "L4"),
             (Rule::L5RawPrint, "L5"),
             (Rule::L6RawSpawn, "L6"),
             (Rule::L7LockUnwrap, "L7"),

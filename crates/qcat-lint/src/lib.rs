@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! First-party static analysis for the qcat workspace.
 //!
@@ -8,12 +8,12 @@
 //!   [`workspace`]): per-file rules L1 (no panic sites in library
 //!   code), L2 (no NaN-unsafe float comparisons in
 //!   cost/order/rank/partition code), L3 (layering, from Cargo.toml),
-//!   L4 (public items in `qcat-core` need docs), L5 (no raw
-//!   `println!`/`eprintln!`/`dbg!` in library code — progress goes
-//!   through `qcat-obs`), L6 (no ad-hoc threads outside `qcat-pool`),
-//!   L7 (no `.lock().unwrap()`). All rules run over the [`lexer`]
-//!   token stream, so string literals and comments can never produce
-//!   false positives.
+//!   L5 (no raw `println!`/`eprintln!`/`dbg!` in library code —
+//!   progress goes through `qcat-obs`), L6 (no ad-hoc threads outside
+//!   `qcat-pool`), L7 (no `.lock().unwrap()`). All rules run over the
+//!   [`lexer`] token stream, so string literals and comments can never
+//!   produce false positives. (L4, missing docs, is retired: every
+//!   library crate denies `missing_docs`, so the compiler checks it.)
 //! - **Engine 2 — semantic analysis** ([`lexer`], [`syms`],
 //!   [`callgraph`], [`conc`]): a workspace-wide symbol table and call
 //!   graph feeding cross-file rules L8 (lock-order cycles), L9

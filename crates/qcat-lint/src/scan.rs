@@ -1,4 +1,4 @@
-//! Engine 1: per-file rules L1, L2, L4, L5, L6, L7 over the lexer's
+//! Engine 1: per-file rules L1, L2, L5, L6, L7 over the lexer's
 //! token stream.
 //!
 //! The preprocessing pass reconstructs each line from the real
@@ -26,8 +26,6 @@ pub struct ScanOptions {
     /// L2 (second half): the file is cost/order/rank/partition code,
     /// where float `==`/`!=` is banned outright.
     pub float_eq_sensitive: bool,
-    /// L4: flag undocumented `pub` items.
-    pub check_docs: bool,
     /// L5: flag raw console output (`println!`, `eprintln!`,
     /// `print!`, `eprint!`, `dbg!`) outside test code.
     pub check_prints: bool,
@@ -46,12 +44,8 @@ pub struct CleanSource {
     /// The code with comments and literal contents replaced by
     /// spaces; same line count and column positions as the input.
     pub lines: Vec<String>,
-    /// Line is (part of) a doc comment: `///`, `//!`, `/** */`.
-    pub doc_line: Vec<bool>,
     /// Line lies inside a `#[cfg(test)]` item or `#[test]` function.
     pub test_line: Vec<bool>,
-    /// Line is (part of) an outer attribute `#[...]`.
-    pub attr_line: Vec<bool>,
 }
 
 impl CleanSource {
@@ -89,53 +83,9 @@ impl CleanSource {
             .into_iter()
             .map(|v| String::from_utf8_lossy(&v).into_owned())
             .collect();
-        let doc_line = resize(lexed.doc_line.clone(), lines.len());
-        let attr_line = mark_attr_lines(&lines);
         let test_line = mark_test_regions(&lines);
-        CleanSource {
-            lines,
-            doc_line,
-            test_line,
-            attr_line,
-        }
+        CleanSource { lines, test_line }
     }
-}
-
-fn resize(mut v: Vec<bool>, n: usize) -> Vec<bool> {
-    v.resize(n, false);
-    v
-}
-
-/// Mark lines belonging to outer attributes `#[...]`, including
-/// multi-line attributes, by bracket counting.
-fn mark_attr_lines(lines: &[String]) -> Vec<bool> {
-    let mut attr = vec![false; lines.len()];
-    let mut depth = 0i32;
-    for (idx, line) in lines.iter().enumerate() {
-        let t = line.trim_start();
-        if depth > 0 {
-            attr[idx] = true;
-            depth += bracket_delta(line);
-            continue;
-        }
-        if t.starts_with("#[") || t.starts_with("#![") {
-            attr[idx] = true;
-            depth = bracket_delta(line);
-        }
-    }
-    attr
-}
-
-fn bracket_delta(line: &str) -> i32 {
-    let mut d = 0;
-    for c in line.chars() {
-        match c {
-            '[' => d += 1,
-            ']' => d -= 1,
-            _ => {}
-        }
-    }
-    d
 }
 
 /// Mark lines inside `#[cfg(test)]`-gated items and `#[test]`
@@ -207,9 +157,6 @@ pub fn lint_lexed(path: &str, source: &str, lexed: &Lexed, opts: ScanOptions) ->
         if opts.float_eq_sensitive {
             lint_float_eq(path, &clean, &mut diags);
         }
-    }
-    if opts.check_docs {
-        lint_missing_docs(path, &clean, &mut diags);
     }
     if opts.check_prints {
         lint_prints(path, &clean, &mut diags);
@@ -549,54 +496,6 @@ fn float_literal(s: &str) -> bool {
     has_point_or_exp && i == b.len()
 }
 
-/// L4: `pub` items need a doc comment (or `#[doc = ..]`) above them.
-fn lint_missing_docs(path: &str, clean: &CleanSource, diags: &mut Vec<Diagnostic>) {
-    const ITEM_KEYWORDS: &[&str] = &[
-        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "unsafe",
-        "async", "extern",
-    ];
-    for (idx, line) in clean.lines.iter().enumerate() {
-        if clean.test_line[idx] || clean.attr_line[idx] {
-            continue;
-        }
-        let t = line.trim_start();
-        let Some(rest) = t.strip_prefix("pub ") else {
-            continue;
-        };
-        let second = rest.split_whitespace().next().unwrap_or("");
-        if !ITEM_KEYWORDS.contains(&second) {
-            continue; // pub use, pub(crate), pub fields, …
-        }
-        if second == "mod" && t.trim_end().ends_with(';') {
-            continue; // out-of-line module: docs are `//!` in its file
-        }
-        // Walk up over the item's attributes to the would-be docs.
-        let mut above = idx;
-        while above > 0 && clean.attr_line[above - 1] {
-            above -= 1;
-        }
-        let documented = above > 0
-            && (clean.doc_line[above - 1]
-                || clean.lines[above - 1].trim_start().starts_with("#[doc"));
-        // An attribute line may itself be `#[doc = "…"]`.
-        let attr_doc = (above..idx)
-            .any(|a| clean.lines[a].trim_start().starts_with("#[doc"));
-        if !documented && !attr_doc {
-            let name = rest
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .filter(|w| !w.is_empty())
-                .find(|w| !ITEM_KEYWORDS.contains(w))
-                .unwrap_or("<unnamed>");
-            diags.push(Diagnostic::at(
-                path,
-                idx + 1,
-                Rule::L4MissingDocs,
-                format!("public item `{name}` lacks a doc comment"),
-            ));
-        }
-    }
-}
-
 /// All byte offsets where `needle` occurs in `hay`.
 fn find_all(hay: &str, needle: &str) -> Vec<usize> {
     let mut out = Vec::new();
@@ -623,7 +522,6 @@ mod tests {
         check_panics: true,
         check_float_cmp: true,
         float_eq_sensitive: true,
-        check_docs: false,
         check_prints: false,
         check_spawns: false,
         check_locks: false,
@@ -776,69 +674,10 @@ mod tests {
         );
     }
 
-    const DOCS: ScanOptions = ScanOptions {
-        check_panics: false,
-        check_float_cmp: false,
-        float_eq_sensitive: false,
-        check_docs: true,
-        check_prints: false,
-        check_spawns: false,
-        check_locks: false,
-    };
-
-    #[test]
-    fn l4_flags_undocumented_pub_items() {
-        let src = concat!(
-            "/// Documented.\n",
-            "pub fn good() {}\n",
-            "pub fn bad() {}\n",
-            "/// Documented struct.\n",
-            "#[derive(Debug)]\n",
-            "pub struct Good;\n",
-            "#[derive(Debug)]\n",
-            "pub struct Bad;\n",
-            "pub use other::Thing;\n",
-            "pub(crate) fn internal() {}\n",
-        );
-        assert_eq!(rules(src, DOCS), vec![(3, "L4"), (8, "L4")]);
-    }
-
-    #[test]
-    fn l4_accepts_doc_attribute_and_inner_docs() {
-        let src = concat!(
-            "#[doc = \"machine docs\"]\n",
-            "pub fn attr_documented() {}\n",
-            "//! module docs\n",
-            "pub mod documented_by_inner {}\n",
-        );
-        assert_eq!(rules(src, DOCS), vec![]);
-    }
-
-    #[test]
-    fn l4_exempts_out_of_line_modules() {
-        // `pub mod x;` carries its docs as `//!` inside x.rs, which a
-        // single-file scan cannot see; inline undocumented modules
-        // are still flagged.
-        let src = "pub mod tree;\npub mod cost;\npub mod inline_bad { }\n";
-        assert_eq!(rules(src, DOCS), vec![(3, "L4")]);
-    }
-
-    #[test]
-    fn l4_skips_test_modules() {
-        let src = concat!(
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    pub fn helper() {}\n",
-            "}\n",
-        );
-        assert_eq!(rules(src, DOCS), vec![]);
-    }
-
     const PRINTS: ScanOptions = ScanOptions {
         check_panics: false,
         check_float_cmp: false,
         float_eq_sensitive: false,
-        check_docs: false,
         check_prints: true,
         check_spawns: false,
         check_locks: false,
@@ -889,7 +728,6 @@ mod tests {
         check_panics: false,
         check_float_cmp: false,
         float_eq_sensitive: false,
-        check_docs: false,
         check_prints: false,
         check_spawns: true,
         check_locks: false,
@@ -929,7 +767,6 @@ mod tests {
         check_panics: false,
         check_float_cmp: false,
         float_eq_sensitive: false,
-        check_docs: false,
         check_prints: false,
         check_spawns: false,
         check_locks: true,

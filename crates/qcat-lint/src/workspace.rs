@@ -18,7 +18,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Crates whose sources are scanned for L1/L2/L4 (the library layers
+/// Crates whose sources are scanned for L1/L2 (the library layers
 /// the cost model's correctness rests on, plus the observability
 /// substrate every other crate calls into). `(crate name,
 /// repo-relative source dir)`.
@@ -135,7 +135,7 @@ pub fn lint_workspace_with_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, Sc
 /// The union of every Engine 1 rule's file selection, as one merged
 /// option set:
 ///
-/// - L1/L2/L4 only in [`SCANNED_CRATES`], via [`options_for`];
+/// - L1/L2 only in [`SCANNED_CRATES`], via [`options_for`];
 /// - L5 everywhere except `qcat-obs` (the sanctioned exporter) and
 ///   binary entry points (`src/bin/`, `main.rs`), which own
 ///   stdout/stderr;
@@ -151,13 +151,11 @@ pub fn lint_workspace_with_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, Sc
 fn options_for_file(crate_dir: &str, rel_path: &str) -> ScanOptions {
     let scanned = SCANNED_CRATES
         .iter()
-        .find(|(_, dir)| {
-            rel_path.starts_with(&format!("{dir}/src/"))
-        })
-        .map(|&(name, _)| name);
-    let mut opts = match scanned {
-        Some(name) => options_for(name, rel_path),
-        None => ScanOptions::default(),
+        .any(|(_, dir)| rel_path.starts_with(&format!("{dir}/src/")));
+    let mut opts = if scanned {
+        options_for(rel_path)
+    } else {
+        ScanOptions::default()
     };
     opts.check_prints = crate_dir != "qcat-obs"
         && !rel_path.contains("/bin/")
@@ -168,9 +166,8 @@ fn options_for_file(crate_dir: &str, rel_path: &str) -> ScanOptions {
 }
 
 /// Rule selection for one [`SCANNED_CRATES`] file: L1 everywhere; the
-/// float-equality half of L2 only in cost/order/rank/partition code;
-/// L4 only in `qcat-core`.
-fn options_for(crate_name: &str, rel_path: &str) -> ScanOptions {
+/// float-equality half of L2 only in cost/order/rank/partition code.
+fn options_for(rel_path: &str) -> ScanOptions {
     let filename = rel_path.rsplit('/').next().unwrap_or(rel_path);
     let sensitive = ["cost", "order", "rank", "partition"]
         .iter()
@@ -179,7 +176,6 @@ fn options_for(crate_name: &str, rel_path: &str) -> ScanOptions {
         check_panics: true,
         check_float_cmp: true,
         float_eq_sensitive: sensitive,
-        check_docs: crate_name == "qcat-core",
         check_prints: false, // merged in by options_for_file
         check_spawns: false,
         check_locks: false,
@@ -286,30 +282,24 @@ mod tests {
 
     #[test]
     fn sensitive_file_selection() {
-        assert!(options_for("qcat-core", "crates/core/src/cost.rs").float_eq_sensitive);
-        assert!(options_for("qcat-core", "crates/core/src/order.rs").float_eq_sensitive);
-        assert!(options_for("qcat-core", "crates/core/src/rank.rs").float_eq_sensitive);
+        assert!(options_for("crates/core/src/cost.rs").float_eq_sensitive);
+        assert!(options_for("crates/core/src/order.rs").float_eq_sensitive);
+        assert!(options_for("crates/core/src/rank.rs").float_eq_sensitive);
         assert!(
-            options_for("qcat-core", "crates/core/src/partition/numeric.rs").float_eq_sensitive
+            options_for("crates/core/src/partition/numeric.rs").float_eq_sensitive
         );
-        assert!(options_for("qcat-core", "crates/core/src/sibling_order.rs").float_eq_sensitive);
-        assert!(!options_for("qcat-core", "crates/core/src/tree.rs").float_eq_sensitive);
-        assert!(!options_for("qcat-sql", "crates/qcat-sql/src/parser.rs").float_eq_sensitive);
+        assert!(options_for("crates/core/src/sibling_order.rs").float_eq_sensitive);
+        assert!(!options_for("crates/core/src/tree.rs").float_eq_sensitive);
+        assert!(!options_for("crates/qcat-sql/src/parser.rs").float_eq_sensitive);
         // "recorder" contains "order" only mid-word: not ordering code.
-        assert!(!options_for("qcat-obs", "crates/qcat-obs/src/recorder.rs").float_eq_sensitive);
-    }
-
-    #[test]
-    fn docs_only_in_core() {
-        assert!(options_for("qcat-core", "crates/core/src/tree.rs").check_docs);
-        assert!(!options_for("qcat-sql", "crates/qcat-sql/src/ast.rs").check_docs);
+        assert!(!options_for("crates/qcat-obs/src/recorder.rs").float_eq_sensitive);
     }
 
     #[test]
     fn merged_options_cover_every_engine1_rule() {
         // A scanned library file gets everything.
         let o = options_for_file("core", "crates/core/src/cost.rs");
-        assert!(o.check_panics && o.check_float_cmp && o.check_docs);
+        assert!(o.check_panics && o.check_float_cmp);
         assert!(o.check_prints && o.check_spawns && o.check_locks);
         // qcat-obs: prints are its job; everything else still applies.
         let o = options_for_file("qcat-obs", "crates/qcat-obs/src/recorder.rs");

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! First-party observability for the qcat workspace: spans, metrics,
 //! structured events, and two exporters — with near-zero overhead when
@@ -7,7 +7,7 @@
 //! The paper's headline claims are about *cost* (information-overload
 //! cost, Eq. 1/2) and *wall-clock* (Figure 13: "a few seconds …
 //! dominated by partitioning"). This crate is how the repo attributes
-//! both: every pipeline stage opens a [`span`], hot loops bump
+//! both: every pipeline stage opens a [`span!`], hot loops bump
 //! [`counter`]s, and span durations aggregate into fixed-bucket
 //! latency [`hist::Histogram`]s with p50/p95/p99 readout.
 //!

@@ -1,3 +1,5 @@
+#![deny(missing_docs)]
+
 //! A std-only scoped thread pool with deterministic result
 //! collection.
 //!

@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// One containment donor candidate: the cache key of its rows plus
 /// the normalized query that produced them.
 #[derive(Debug, Clone)]
-pub(crate) struct Donor {
+pub(crate) struct Candidate {
     pub key: String,
     pub query: Arc<NormalizedQuery>,
 }
@@ -37,7 +37,7 @@ pub(crate) struct Donor {
 #[derive(Debug, Default)]
 pub(crate) struct ContainmentIndex {
     /// table → signature (sorted constrained attrs) → donors.
-    tables: HashMap<String, HashMap<Vec<AttrId>, Vec<Donor>>>,
+    tables: HashMap<String, HashMap<Vec<AttrId>, Vec<Candidate>>>,
     entries: usize,
 }
 
@@ -62,7 +62,7 @@ impl ContainmentIndex {
         if bucket.iter().any(|d| d.key == key) {
             return;
         }
-        bucket.push(Donor {
+        bucket.push(Candidate {
             key: key.to_string(),
             query: Arc::new(query.clone()),
         });
@@ -73,7 +73,7 @@ impl ContainmentIndex {
     /// buckets first is not guaranteed — callers rank by live row
     /// count. Liveness (cache residency) is the caller's check;
     /// report dead keys back through [`ContainmentIndex::remove`].
-    pub fn candidates(&self, query: &NormalizedQuery) -> Vec<Donor> {
+    pub fn candidates(&self, query: &NormalizedQuery) -> Vec<Candidate> {
         let Some(sigs) = self.tables.get(&query.table) else {
             return Vec::new();
         };

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Cached query → category-tree serving for the qcat workspace.
 //!

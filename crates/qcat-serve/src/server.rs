@@ -1,15 +1,15 @@
 //! The serving loop: SQL in, cached category tree out.
 
 use crate::cache::EpochLru;
-use crate::containment::{ContainmentIndex, Donor};
+use crate::containment::{Candidate, ContainmentIndex};
 use crate::fingerprint::fingerprint;
 use crate::speculate::{SpecOutcome, SpeculateConfig, SpeculateReport};
 use qcat_core::{render_tree, CategorizeConfig, Categorizer, CategoryTree, DegradeReason};
 use qcat_data::{
-    Catalog, DataError, IngestTable, Relation, SegmentSummary, Value,
+    AttrId, Catalog, DataError, IngestTable, Relation, SegmentSummary, Value,
 };
 use qcat_sql::AttrCondition;
-use qcat_exec::{execute_normalized_with, execute_residual, AccessPath, ExecError, ResultSet};
+use qcat_exec::{execute, Donor, ExecError, ExecOptions, ResultSet};
 use qcat_fault::Budget;
 use qcat_pool::ThreadPool;
 use qcat_sql::{parse_select, NormalizedQuery};
@@ -1004,45 +1004,60 @@ impl Server {
                     qcat_obs::counter("serve.cache.result.miss", 1);
                     // Second chance: a cached *superset* answer whose
                     // query subsumes this one can donate its rows.
-                    match self.containment_fill(ctx, query, key) {
-                        Ok(Some(result)) => (result, ServeOutcome::ContainmentHit),
-                        Ok(None) => {
-                            qcat_obs::counter("serve.cache.miss", 1);
-                            let executed =
-                                execute_normalized_with(relation, query, AccessPath::Auto);
-                            let result = match executed {
-                                Ok(r) => Arc::new(r),
-                                // Execution refuses partial rows on
-                                // budget exhaustion; the serve answer
-                                // degrades to the flat (root-only,
-                                // empty) fallback instead of erroring
-                                // — the contract is best-effort, not
-                                // all-or-nothing.
-                                Err(ExecError::Budget(b)) => {
-                                    return Ok(self.degraded_flat(relation, b.into()));
-                                }
-                                Err(e) => return Err(e.into()),
-                            };
-                            // Compute happened outside the lock; a
-                            // racing serve of the same query at worst
-                            // double-computes the same deterministic
-                            // value. Skip the insert if an append
-                            // superseded the pinned snapshot.
-                            let mut caches = self.lock_caches();
-                            if self.still_current(ctx) {
-                                caches.insert_result(key, query, &result);
-                            }
-                            drop(caches);
-                            (result, ServeOutcome::Cold)
-                        }
-                        // The residual filter ran out of budget:
-                        // degrade exactly like a budget-refused
-                        // execution would.
+                    let donor = self.containment_donor(query);
+                    if donor.is_none() {
+                        qcat_obs::counter("serve.cache.miss", 1);
+                    }
+                    let opts = ExecOptions {
+                        donor: donor.as_ref().map(|(rows, residual)| Donor {
+                            rows: rows.rows(),
+                            residual,
+                        }),
+                        ..ExecOptions::default()
+                    };
+                    // Filtering or executing happens outside the cache
+                    // lock: donors are immutable `Arc`s, so eviction
+                    // races are harmless.
+                    let result = match execute(relation, query, &opts) {
+                        Ok(r) => Arc::new(r),
+                        // Execution refuses partial rows on budget
+                        // exhaustion; the serve answer degrades to the
+                        // flat (root-only, empty) fallback instead of
+                        // erroring — the contract is best-effort, not
+                        // all-or-nothing.
                         Err(ExecError::Budget(b)) => {
                             return Ok(self.degraded_flat(relation, b.into()));
                         }
                         Err(e) => return Err(e.into()),
+                    };
+                    let outcome = match &donor {
+                        Some((donor_rows, _)) => {
+                            qcat_obs::counter("serve.cache.containment_hit", 1);
+                            qcat_obs::counter("serve.cache.hit", 1);
+                            qcat_obs::counter(
+                                "serve.containment.rows_donor",
+                                i64::try_from(donor_rows.len()).unwrap_or(i64::MAX),
+                            );
+                            qcat_obs::counter(
+                                "serve.containment.rows_out",
+                                i64::try_from(result.len()).unwrap_or(i64::MAX),
+                            );
+                            ServeOutcome::ContainmentHit
+                        }
+                        None => ServeOutcome::Cold,
+                    };
+                    // The answer is itself cached (and indexed), so
+                    // chains of refinements each filter their nearest
+                    // superset. A racing serve of the same query at
+                    // worst double-computes the same deterministic
+                    // value. Skip the insert if an append superseded
+                    // the pinned snapshot.
+                    let mut caches = self.lock_caches();
+                    if self.still_current(ctx) {
+                        caches.insert_result(key, query, &result);
                     }
+                    drop(caches);
+                    (result, outcome)
                 }
             };
 
@@ -1082,63 +1097,31 @@ impl Server {
         }
     }
 
-    /// Containment probe for a cold miss: find the smallest **live**
-    /// cached answer whose query provably subsumes this one, and
-    /// post-filter its rows with the residual conjuncts instead of
-    /// executing from scratch. Returns `Ok(None)` when no live donor
-    /// exists; index entries found dangling along the way (rows the
-    /// result cache LRU-evicted) are unhooked.
-    fn containment_fill(
+    /// Containment probe for a cold miss: the smallest **live** cached
+    /// answer whose query provably subsumes `query`, with the residual
+    /// attributes its rows must still be filtered by. `None` when no
+    /// live donor exists; index entries found dangling along the way
+    /// (rows the result cache LRU-evicted) are unhooked.
+    fn containment_donor(
         &self,
-        ctx: &FillCtx<'_>,
         query: &NormalizedQuery,
-        key: &str,
-    ) -> Result<Option<Arc<ResultSet>>, ExecError> {
-        let relation = ctx.relation;
-        let donor = {
-            let mut caches = self.lock_caches();
-            let candidates = caches.containment.candidates(query);
-            let mut best: Option<(Arc<ResultSet>, Donor)> = None;
-            for cand in candidates {
-                match caches.results.get(&cand.key, RESULT_EPOCH) {
-                    // The smallest donor filters the fewest rows.
-                    Some(rows) => {
-                        if best.as_ref().map_or(true, |(b, _)| rows.len() < b.len()) {
-                            best = Some((rows, cand));
-                        }
-                    }
-                    None => caches.containment.remove(&query.table, &cand.key),
-                }
-            }
-            best
-        };
-        let Some((donor_rows, donor)) = donor else {
-            return Ok(None);
-        };
-        let residual = qcat_sql::residual_attrs(&donor.query, query);
-        // Filtering happens outside the cache lock: donors are
-        // immutable `Arc`s, so eviction races are harmless.
-        let filtered = execute_residual(relation, query, donor_rows.rows(), &residual)?;
-        qcat_obs::counter("serve.cache.containment_hit", 1);
-        qcat_obs::counter("serve.cache.hit", 1);
-        qcat_obs::counter(
-            "serve.containment.rows_donor",
-            i64::try_from(donor_rows.len()).unwrap_or(i64::MAX),
-        );
-        qcat_obs::counter(
-            "serve.containment.rows_out",
-            i64::try_from(filtered.len()).unwrap_or(i64::MAX),
-        );
-        let result = Arc::new(filtered);
-        // The derived answer is itself cached (and indexed): chains of
-        // refinements each filter their nearest superset — unless an
-        // append superseded the pinned snapshot mid-fill.
+    ) -> Option<(Arc<ResultSet>, Vec<AttrId>)> {
         let mut caches = self.lock_caches();
-        if self.still_current(ctx) {
-            caches.insert_result(key, query, &result);
+        let candidates = caches.containment.candidates(query);
+        let mut best: Option<(Arc<ResultSet>, Candidate)> = None;
+        for cand in candidates {
+            match caches.results.get(&cand.key, RESULT_EPOCH) {
+                // The smallest donor filters the fewest rows.
+                Some(rows) => {
+                    if best.as_ref().map_or(true, |(b, _)| rows.len() < b.len()) {
+                        best = Some((rows, cand));
+                    }
+                }
+                None => caches.containment.remove(&query.table, &cand.key),
+            }
         }
         drop(caches);
-        Ok(Some(result))
+        best.map(|(rows, cand)| (rows, qcat_sql::residual_attrs(&cand.query, query)))
     }
 
     /// One idle-time speculative precomputation pass over `table`:

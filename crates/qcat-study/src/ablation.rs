@@ -12,7 +12,7 @@ use crate::report::{fnum, TextTable};
 use crate::stats::{mean, pearson};
 use qcat_core::cost::{cost_all, cost_one};
 use qcat_core::{BucketCount, Categorizer, OrderingMode};
-use qcat_exec::{execute_normalized, ResultSet};
+use qcat_exec::{execute, ExecOptions, ResultSet};
 use qcat_explore::{actual_cost_all, RelevanceJudge};
 use qcat_sql::NormalizedQuery;
 use qcat_workload::WorkloadStatistics;
@@ -39,7 +39,7 @@ impl AblationBatch {
             let Some(qw) = broaden_query(w, &schema, &env.geography) else {
                 continue;
             };
-            let Ok(result) = execute_normalized(&env.relation, &qw) else {
+            let Ok(result) = execute(&env.relation, &qw, &ExecOptions::default()) else {
                 continue;
             };
             if result.len() <= env.config.max_leaf_tuples {

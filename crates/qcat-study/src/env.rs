@@ -180,7 +180,7 @@ fn attr(relation: &Relation, name: &str) -> AttrId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcat_exec::execute_normalized;
+    use qcat_exec::{execute, ExecOptions};
     use qcat_sql::parse_and_normalize;
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
             env.relation.schema(),
         )
         .unwrap();
-        let result = execute_normalized(&env.relation, &q).unwrap();
+        let result = execute(&env.relation, &q, &ExecOptions::default()).unwrap();
         assert!(result.len() > 100);
         for t in Technique::ALL {
             let tree = env.categorize(&stats, t, &result, Some(&q));

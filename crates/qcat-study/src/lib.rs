@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Experiment drivers reproducing every table and figure of the
 //! paper's evaluation (Section 6).

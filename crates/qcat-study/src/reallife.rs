@@ -13,7 +13,7 @@ use crate::env::{StudyEnv, Technique};
 use crate::report::{fnum, TextTable};
 use crate::stats::{mean, pearson};
 use qcat_core::cost::cost_all;
-use qcat_exec::execute_normalized;
+use qcat_exec::{execute, ExecOptions};
 use qcat_explore::{noisy_explore_all, noisy_explore_one, NoisyUser, RelevanceJudge};
 use qcat_sql::{parse_and_normalize, NormalizedQuery};
 use qcat_datagen::rng::Rng;
@@ -249,8 +249,8 @@ impl RealLifeStudy {
         let stats = env.stats_for(&env.log);
         let mut outcomes = Vec::new();
         for (ti, task) in tasks.iter().enumerate() {
-            let result =
-                execute_normalized(&env.relation, &task.query).expect("task query executes");
+            let result = execute(&env.relation, &task.query, &ExecOptions::default())
+                .expect("task query executes");
             // Trees are per (task, technique) — identical for all
             // subjects, like the paper's shared web interface.
             let trees: Vec<_> = Technique::ALL

@@ -6,7 +6,7 @@ use crate::env::{StudyEnv, Technique};
 use crate::report::{fnum, TextTable};
 use crate::stats::{mean, origin_slope, pearson};
 use qcat_core::cost::cost_all;
-use qcat_exec::execute_normalized;
+use qcat_exec::{execute, ExecOptions};
 use qcat_explore::{actual_cost_all, RelevanceJudge};
 
 /// Study shape: the paper uses 8 mutually disjoint subsets of 100
@@ -78,7 +78,7 @@ impl SimulatedStudy {
             let Some(qw) = broaden_query(w, &schema, &env.geography) else {
                 continue;
             };
-            let Ok(result) = execute_normalized(&env.relation, &qw) else {
+            let Ok(result) = execute(&env.relation, &qw, &ExecOptions::default()) else {
                 continue;
             };
             if result.len() <= env.config.max_leaf_tuples {
@@ -96,8 +96,8 @@ impl SimulatedStudy {
             for w in &held {
                 let qw =
                     broaden_query(w, &schema, &env.geography).expect("eligibility pre-checked");
-                let result =
-                    execute_normalized(&env.relation, &qw).expect("eligibility pre-checked");
+                let result = execute(&env.relation, &qw, &ExecOptions::default())
+                    .expect("eligibility pre-checked");
                 let judge =
                     RelevanceJudge::from_query(w, &env.relation).expect("workload query compiles");
                 for technique in Technique::ALL {

@@ -13,7 +13,7 @@ use crate::broaden::broaden_query;
 use crate::env::StudyEnv;
 use crate::report::{fnum, TextTable};
 use qcat_core::Categorizer;
-use qcat_exec::execute_normalized;
+use qcat_exec::{execute, ExecOptions};
 use qcat_obs::Snapshot;
 use std::time::Instant;
 
@@ -136,7 +136,7 @@ pub fn run_timing_study(env: &StudyEnv, config: &TimingConfig) -> TimingStudy {
             break;
         }
         candidates += 1;
-        let Ok(result) = execute_normalized(&env.relation, w) else {
+        let Ok(result) = execute(&env.relation, w, &ExecOptions::default()) else {
             continue;
         };
         if in_window(result.len(), config) {
@@ -155,7 +155,7 @@ pub fn run_timing_study(env: &StudyEnv, config: &TimingConfig) -> TimingStudy {
             if !seen.insert(format!("{:?}", qw.conditions)) {
                 continue;
             }
-            let Ok(result) = execute_normalized(&env.relation, &qw) else {
+            let Ok(result) = execute(&env.relation, &qw, &ExecOptions::default()) else {
                 continue;
             };
             if in_window(result.len(), config) {

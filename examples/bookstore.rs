@@ -13,7 +13,7 @@
 
 use qcat::core::{cost_all, CategorizeConfig, Categorizer};
 use qcat::data::{AttrType, Field, Relation, RelationBuilder, Schema};
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::explore::{actual_cost_all, RelevanceJudge};
 use qcat::sql::parse_and_normalize;
 use qcat::workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reader browses everything under $30.
     let sql = "SELECT * FROM books WHERE price BETWEEN 0 AND 30";
     let query = parse_and_normalize(sql, &s)?;
-    let result = execute_normalized(&books, &query)?;
+    let result = execute(&books, &query, &ExecOptions::default())?;
     println!("query: {sql}");
     println!(
         "{} books match — overload again, different domain\n",

@@ -7,7 +7,7 @@
 //! ```
 
 use qcat::core::cost_all;
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::explore::{actual_cost_all, RelevanceJudge};
 use qcat::study::{broaden_query, StudyEnv, StudyScale, Technique};
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let Some(qw) = broaden_query(w, &schema, &env.geography) else {
             continue;
         };
-        let result = execute_normalized(&env.relation, &qw)?;
+        let result = execute(&env.relation, &qw, &ExecOptions::default())?;
         if result.len() <= env.config.max_leaf_tuples {
             continue;
         }

@@ -18,7 +18,7 @@
 //!   `quit`          exit
 
 use qcat::core::{CategoryTree, NodeId};
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale, Technique};
 use std::io::{self, BufRead, Write};
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          AND price BETWEEN 200000 AND 500000"
     );
     let query = parse_and_normalize(&sql, env.relation.schema())?;
-    let result = execute_normalized(&env.relation, &query)?;
+    let result = execute(&env.relation, &query, &ExecOptions::default())?;
     let tree = env.categorize(&stats, Technique::CostBased, &result, Some(&query));
     println!(
         "{} listings categorized into {} categories (depth {}).",

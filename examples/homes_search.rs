@@ -8,7 +8,7 @@
 //! ```
 
 use qcat::core::cost_all;
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::explore::{actual_cost_all, RelevanceJudge};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale, Technique};
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          AND price BETWEEN 200000 AND 300000"
     );
     let query = parse_and_normalize(&sql, &schema)?;
-    let result = execute_normalized(&env.relation, &query)?;
+    let result = execute(&env.relation, &query, &ExecOptions::default())?;
     println!("the \"Homes\" query returns {} listings\n", result.len());
 
     // A particular buyer's actual interest (narrower than the query).

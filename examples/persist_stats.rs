@@ -7,7 +7,7 @@
 //! ```
 
 use qcat::core::{cost_all, CategorizeConfig, Categorizer};
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale};
 use qcat::workload::{load_statistics, save_statistics};
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Prove the reloaded tables drive identical categorization.
     let sql = "SELECT * FROM listproperty WHERE price BETWEEN 150000 AND 400000";
     let query = parse_and_normalize(sql, env.relation.schema())?;
-    let result = execute_normalized(&env.relation, &query)?;
+    let result = execute(&env.relation, &query, &ExecOptions::default())?;
     let config = CategorizeConfig::default().with_attr_threshold(0.3);
     let fresh = Categorizer::new(&stats, config).categorize(&result, Some(&query));
     let revived = Categorizer::new(&loaded, config).categorize(&result, Some(&query));

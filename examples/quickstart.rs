@@ -6,8 +6,8 @@
 //! ```
 
 use qcat::core::{CategorizeConfig, Categorizer};
-use qcat::data::{AttrType, Field, RelationBuilder, Schema};
-use qcat::exec::Executor;
+use qcat::data::{AttrType, Catalog, Field, RelationBuilder, Schema};
+use qcat::exec::execute_sql;
 use qcat::sql::parse_and_normalize;
 use qcat::workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
 
@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])?;
     }
     let homes = builder.finish()?;
-    let exec = Executor::new();
-    exec.register("homes", homes.clone())?;
+    let catalog = Catalog::new();
+    catalog.register("homes", homes.clone())?;
 
     // 2. A workload of past searches (normally read from a query log).
     let mut past = Vec::new();
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. A broad user query that returns too many answers.
     let sql = "SELECT * FROM homes WHERE price BETWEEN 200000 AND 300000";
-    let result = exec.query(sql)?;
+    let result = execute_sql(&catalog, sql)?;
     println!("query: {sql}");
     println!("result: {} homes — information overload!\n", result.len());
 

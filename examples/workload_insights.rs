@@ -8,7 +8,7 @@
 //! ```
 
 use qcat::core::Categorizer;
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale};
 
@@ -79,7 +79,7 @@ fn main() {
     let sql = "SELECT * FROM listproperty WHERE neighborhood IN \
                ('Bellevue','Redmond','Kirkland','Issaquah') AND price BETWEEN 150000 AND 600000";
     let query = parse_and_normalize(sql, &schema).expect("valid SQL");
-    let result = execute_normalized(&env.relation, &query).expect("query runs");
+    let result = execute(&env.relation, &query, &ExecOptions::default()).expect("query runs");
     let config = env.config.with_attr_threshold(0.4);
     let (_, trace) = Categorizer::new(&stats, config).categorize_traced(&result, Some(&query));
     println!(

@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> qcat-lint (L1-L10 + audit self-check)"
 cargo run --release -p qcat-lint -- --workspace
 
+echo "==> cargo doc (rustdoc warnings are errors: no dead intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test -q (default members: every crate + root integration + lint gate)"
 cargo test -q
 
@@ -147,4 +150,4 @@ for w in 1 8; do
         cargo test -q --release --test ingest_stress > /dev/null
 done
 
-echo "OK: build + lint + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"
+echo "OK: build + lint + docs + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! Facade: re-exports all qcat crates. See crate docs in each member.
 pub use qcat_core as core;

@@ -4,7 +4,7 @@
 
 use qcat::core::{cost_all, cost_one, CategorizeConfig, Categorizer};
 use qcat::data::csv::{read_csv, write_csv, CsvOptions};
-use qcat::exec::{execute_normalized, Executor};
+use qcat::exec::{execute, execute_sql, ExecOptions};
 use qcat::explore::{actual_cost_all, actual_cost_one, no_categorization_all, RelevanceJudge};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{broaden_query, StudyEnv, StudyScale, Technique};
@@ -19,16 +19,18 @@ fn full_pipeline_from_generated_data() {
     let schema = env.relation.schema().clone();
     let stats = env.stats_for(&env.log);
 
-    // Executor path through the catalog.
-    let exec = Executor::new();
-    exec.register("listproperty", env.relation.clone()).unwrap();
-    let result = exec
-        .query(
-            "SELECT * FROM ListProperty WHERE neighborhood IN \
-             ('Bellevue','Redmond','Kirkland','Issaquah','Sammamish','Seattle') \
-             AND price BETWEEN 150000 AND 500000",
-        )
+    // SQL path through the catalog.
+    let catalog = qcat::data::Catalog::new();
+    catalog
+        .register("listproperty", env.relation.clone())
         .unwrap();
+    let result = execute_sql(
+        &catalog,
+        "SELECT * FROM ListProperty WHERE neighborhood IN \
+         ('Bellevue','Redmond','Kirkland','Issaquah','Sammamish','Seattle') \
+         AND price BETWEEN 150000 AND 500000",
+    )
+    .unwrap();
     assert!(result.len() > 50, "result too small: {}", result.len());
 
     // Cost-based categorization on the result.
@@ -90,7 +92,7 @@ fn all_three_techniques_produce_valid_trees_on_broadened_queries() {
         let Some(qw) = broaden_query(w, &schema, &env.geography) else {
             continue;
         };
-        let result = execute_normalized(&env.relation, &qw).unwrap();
+        let result = execute(&env.relation, &qw, &ExecOptions::default()).unwrap();
         if result.len() <= env.config.max_leaf_tuples {
             continue;
         }
@@ -136,7 +138,7 @@ fn m_parameter_bounds_leaves_when_attributes_suffice() {
         &schema,
     )
     .unwrap();
-    let result = execute_normalized(&env.relation, &query).unwrap();
+    let result = execute(&env.relation, &query, &ExecOptions::default()).unwrap();
     assert!(result.len() > 100);
     for m in [20usize, 50] {
         let config = CategorizeConfig::default()
@@ -175,7 +177,7 @@ fn estimated_cost_tracks_m() {
         &schema,
     )
     .unwrap();
-    let result = execute_normalized(&env.relation, &query).unwrap();
+    let result = execute(&env.relation, &query, &ExecOptions::default()).unwrap();
     for m in [10usize, 20, 100] {
         let config = env.config.with_max_leaf_tuples(m);
         let tree = Categorizer::new(&stats, config).categorize(&result, Some(&query));

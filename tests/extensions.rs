@@ -5,7 +5,7 @@
 use qcat::core::{
     refine_query, refined_sql, CategorizeConfig, Categorizer, OrderingMode, WorkloadRanker,
 };
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::explore::{actual_cost_one, actual_cost_one_ordered, RelevanceJudge};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale, Technique};
@@ -62,13 +62,13 @@ fn refinement_round_trips_through_the_whole_stack() {
     let sql = "SELECT * FROM listproperty WHERE neighborhood IN \
                ('Bellevue','Redmond','Seattle') AND price BETWEEN 200000 AND 600000";
     let query = parse_and_normalize(sql, &schema).unwrap();
-    let result = execute_normalized(&env.relation, &query).unwrap();
+    let result = execute(&env.relation, &query, &ExecOptions::default()).unwrap();
     let tree = env.categorize(&stats, Technique::CostBased, &result, Some(&query));
     // Drill two levels deep and reformulate.
     let l1 = tree.node(tree.root()).children[0];
     let node = tree.node(l1).children.first().copied().unwrap_or(l1);
     let refined = refine_query(&tree, node, Some(&query), "listproperty");
-    let narrowed = execute_normalized(&env.relation, &refined).unwrap();
+    let narrowed = execute(&env.relation, &refined, &ExecOptions::default()).unwrap();
     let mut got = narrowed.rows().to_vec();
     let mut want = tree.node(node).tset.clone();
     got.sort_unstable();
@@ -77,7 +77,7 @@ fn refinement_round_trips_through_the_whole_stack() {
     // And the SQL text survives a full parse → normalize → execute.
     let text = refined_sql(&tree, node, Some(&query), "listproperty");
     let reparsed = parse_and_normalize(&text, &schema).unwrap();
-    let re_result = execute_normalized(&env.relation, &reparsed).unwrap();
+    let re_result = execute(&env.relation, &reparsed, &ExecOptions::default()).unwrap();
     assert_eq!(re_result.len(), narrowed.len(), "{text}");
 }
 
@@ -94,7 +94,7 @@ fn persisted_statistics_survive_the_facade_round_trip() {
         &schema,
     )
     .unwrap();
-    let result = execute_normalized(&env.relation, &query).unwrap();
+    let result = execute(&env.relation, &query, &ExecOptions::default()).unwrap();
     let config = CategorizeConfig::default().with_attr_threshold(0.3);
     let a = Categorizer::new(&stats, config).categorize(&result, Some(&query));
     let b = Categorizer::new(&loaded, config).categorize(&result, Some(&query));
@@ -118,7 +118,7 @@ fn conditional_probabilities_work_end_to_end() {
         &schema,
     )
     .unwrap();
-    let result = execute_normalized(&env.relation, &query).unwrap();
+    let result = execute(&env.relation, &query, &ExecOptions::default()).unwrap();
     let config = CategorizeConfig::default()
         .with_attr_threshold(0.3)
         .with_conditional_probabilities(true)

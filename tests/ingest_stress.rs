@@ -16,7 +16,7 @@
 use qcat::data::{
     AttrType, Field, IngestTable, Relation, RelationBuilder, Schema, Value, SEGMENT_ROWS,
 };
-use qcat::exec::{execute_normalized_with, execute_normalized_with_threads, AccessPath};
+use qcat::exec::{execute, AccessPath, ExecOptions};
 use qcat::fault::FaultPlan;
 use qcat::serve::{Server, ServerConfig};
 use qcat::sql::parse_and_normalize;
@@ -24,6 +24,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+
+/// Execution options along `path` at `threads` (`0` = auto), no donor.
+fn opts(path: AccessPath, threads: usize) -> ExecOptions<'static> {
+    ExecOptions {
+        path,
+        threads,
+        donor: None,
+    }
+}
 
 const HOODS: [&str; 4] = ["Redmond", "Bellevue", "Issaquah", "Kirkland"];
 
@@ -174,13 +183,9 @@ fn concurrent_reads_match_serial_replay_at_pinned_generation() {
                     let snap = table.pin();
                     let qi = (t + round) % queries.len();
                     let threads = widths[(t + round) % widths.len()];
-                    let got = execute_normalized_with_threads(
-                        snap.relation(),
-                        &queries[qi],
-                        AccessPath::Auto,
-                        threads,
-                    )
-                    .unwrap();
+                    let got =
+                        execute(snap.relation(), &queries[qi], &opts(AccessPath::Auto, threads))
+                            .unwrap();
                     reads.lock().unwrap().push((
                         snap.generation(),
                         qi,
@@ -225,10 +230,10 @@ fn concurrent_reads_match_serial_replay_at_pinned_generation() {
     // generation — regardless of which faults raged around it and at
     // which thread width it executed.
     for (generation, qi, threads, rows) in &reads {
-        let truth = execute_normalized_with(
+        let truth = execute(
             &replayed[*generation as usize],
             &queries[*qi],
-            AccessPath::ForceScan,
+            &opts(AccessPath::ForceScan, 0),
         )
         .unwrap();
         assert_eq!(
@@ -245,8 +250,8 @@ fn concurrent_reads_match_serial_replay_at_pinned_generation() {
     let truth = replayed.last().unwrap();
     assert_eq!(live.relation().len(), truth.len());
     for q in &queries {
-        let a = execute_normalized_with(live.relation(), q, AccessPath::ForceScan).unwrap();
-        let b = execute_normalized_with(truth, q, AccessPath::ForceScan).unwrap();
+        let a = execute(live.relation(), q, &opts(AccessPath::ForceScan, 0)).unwrap();
+        let b = execute(truth, q, &opts(AccessPath::ForceScan, 0)).unwrap();
         assert_eq!(a.rows(), b.rows());
     }
 }
@@ -387,11 +392,11 @@ fn unsharded_ingest_reads_match_fresh_builds() {
         let fresh = seed(rows, 0);
         assert_eq!(grown.len(), fresh.len());
         for q in &queries {
-            let truth = execute_normalized_with(&fresh, q, AccessPath::ForceScan).unwrap();
+            let truth = execute(&fresh, q, &opts(AccessPath::ForceScan, 0)).unwrap();
             let want = trees(&stats, &truth, q, 1);
             for path in [AccessPath::Auto, AccessPath::ForceScan, AccessPath::ForceIndex] {
                 for &threads in &thread_widths() {
-                    let got = execute_normalized_with_threads(&grown, q, path, threads).unwrap();
+                    let got = execute(&grown, q, &opts(path, threads)).unwrap();
                     assert_eq!(got.rows(), truth.rows(), "after {n} appends: {path:?} threads={threads}");
                     assert_eq!(trees(&stats, &got, q, threads), want, "after {n} appends: {path:?}");
                 }

@@ -32,7 +32,7 @@ fn source_lints_pass_on_workspace() {
 #[test]
 fn audit_passes_on_categorizer_output() {
     use qcat_core::{CategorizeConfig, Categorizer};
-    use qcat_exec::execute_normalized;
+    use qcat_exec::{execute, ExecOptions};
     use qcat_sql::parse_and_normalize;
     use qcat_workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
 
@@ -69,7 +69,7 @@ fn audit_passes_on_categorizer_output() {
     let stats = WorkloadStatistics::build(&log, &schema, &prep);
     let q = parse_and_normalize("SELECT * FROM homes WHERE price >= 150000", &schema)
         .expect("query");
-    let result = execute_normalized(&homes, &q).expect("execute");
+    let result = execute(&homes, &q, &ExecOptions::default()).expect("execute");
     let tree = Categorizer::new(&stats, CategorizeConfig::default().with_max_leaf_tuples(20))
         .categorize(&result, Some(&q));
     assert!(tree.node_count() > 1, "categorizer should produce a tree");

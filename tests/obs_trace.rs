@@ -5,7 +5,7 @@
 //! phase structure the categorizer promises.
 
 use qcat::core::Categorizer;
-use qcat::exec::execute_normalized;
+use qcat::exec::{execute, ExecOptions};
 use qcat::obs::{self, json::JsonValue};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale};
@@ -24,7 +24,7 @@ fn traced_categorization() -> String {
         &schema,
     )
     .expect("query parses");
-    let result = execute_normalized(&env.relation, &query).expect("query executes");
+    let result = execute(&env.relation, &query, &ExecOptions::default()).expect("query executes");
     assert!(
         result.len() > env.config.max_leaf_tuples,
         "result must be large enough to force partitioning: {}",

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use qcat::core::{cost_all, cost_one, CategorizeConfig, Categorizer};
 use qcat::data::{AttrType, Field, Relation, RelationBuilder, Schema};
-use qcat::exec::{execute_normalized, ResultSet};
+use qcat::exec::{execute, ExecOptions, ResultSet};
 use qcat::explore::{actual_cost_all, RelevanceJudge};
 use qcat::sql::parse_and_normalize;
 use qcat::workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
@@ -153,7 +153,7 @@ proptest! {
             &format!("SELECT * FROM t WHERE price >= {}", 100_000 + lo * 1_000),
             &s,
         ).unwrap();
-        let result = execute_normalized(&relation, &q).unwrap();
+        let result = execute(&relation, &q, &ExecOptions::default()).unwrap();
         prop_assume!(!result.is_empty());
         let config = CategorizeConfig::default()
             .with_max_leaf_tuples(8)

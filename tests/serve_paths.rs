@@ -5,10 +5,19 @@
 
 use qcat::core::{render_tree, Categorizer};
 use qcat::data::{AttrType, Field, RelationBuilder, Schema};
-use qcat::exec::{execute_normalized_with, AccessPath};
+use qcat::exec::{execute, AccessPath, ExecOptions};
 use qcat::serve::{ServeOutcome, Server, ServerConfig};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale};
+
+/// Execution options along `path` at `threads` (`0` = auto), no donor.
+fn opts(path: AccessPath, threads: usize) -> ExecOptions<'static> {
+    ExecOptions {
+        path,
+        threads,
+        donor: None,
+    }
+}
 
 fn env() -> StudyEnv {
     StudyEnv::generate(StudyScale::Smoke, 7777)
@@ -30,8 +39,8 @@ fn scan_index_and_cached_trees_are_byte_identical() {
                AND price BETWEEN 150000 AND 500000";
     let query = parse_and_normalize(sql, &schema).unwrap();
 
-    let scan = execute_normalized_with(&env.relation, &query, AccessPath::ForceScan).unwrap();
-    let index = execute_normalized_with(&env.relation, &query, AccessPath::ForceIndex).unwrap();
+    let scan = execute(&env.relation, &query, &opts(AccessPath::ForceScan, 0)).unwrap();
+    let index = execute(&env.relation, &query, &opts(AccessPath::ForceIndex, 0)).unwrap();
     assert!(scan.len() > 50, "probe query too narrow: {}", scan.len());
     assert_eq!(scan.rows(), index.rows(), "index path diverged from scan");
 
@@ -70,9 +79,9 @@ fn planner_matches_scan_across_the_workload() {
     let mut checked = 0;
     for query in env.log.queries().iter().take(150) {
         let scan =
-            execute_normalized_with(&env.relation, query, AccessPath::ForceScan).unwrap();
+            execute(&env.relation, query, &opts(AccessPath::ForceScan, 0)).unwrap();
         for path in [AccessPath::Auto, AccessPath::ForceIndex] {
-            let other = execute_normalized_with(&env.relation, query, path).unwrap();
+            let other = execute(&env.relation, query, &opts(path, 0)).unwrap();
             assert_eq!(scan.rows(), other.rows(), "{path:?} diverged on {query:?}");
         }
         checked += 1;
@@ -80,7 +89,7 @@ fn planner_matches_scan_across_the_workload() {
     assert!(checked >= 100, "workload sweep too small: {checked}");
 }
 
-/// Executor edge cases behave identically through scan and index:
+/// Execution edge cases behave identically through scan and index:
 /// empty results, predicates selecting every row, degenerate ranges,
 /// and a single-distinct-value attribute.
 #[test]
@@ -122,10 +131,10 @@ fn edge_case_queries_agree_on_every_path() {
     for (sql, expect) in cases {
         let query = parse_and_normalize(sql, &schema).unwrap();
         let scan =
-            execute_normalized_with(&relation, &query, AccessPath::ForceScan).unwrap();
+            execute(&relation, &query, &opts(AccessPath::ForceScan, 0)).unwrap();
         assert_eq!(scan.len(), *expect, "scan cardinality for {sql}");
         for path in [AccessPath::Auto, AccessPath::ForceIndex] {
-            let other = execute_normalized_with(&relation, &query, path).unwrap();
+            let other = execute(&relation, &query, &opts(path, 0)).unwrap();
             assert_eq!(scan.rows(), other.rows(), "{path:?} diverged on {sql}");
         }
     }

@@ -9,10 +9,19 @@ use qcat::core::{
     attr_cost_categorize, no_cost_categorize, render_tree, BaselineConfig, Categorizer,
 };
 use qcat::data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema, Value, SEGMENT_ROWS};
-use qcat::exec::{execute_normalized_with, execute_normalized_with_threads, AccessPath};
+use qcat::exec::{execute, AccessPath, ExecOptions};
 use qcat::serve::{ServeOutcome, Server, ServerConfig};
 use qcat::sql::parse_and_normalize;
 use qcat::study::{StudyEnv, StudyScale};
+
+/// Execution options along `path` at `threads` (`0` = auto), no donor.
+fn opts(path: AccessPath, threads: usize) -> ExecOptions<'static> {
+    ExecOptions {
+        path,
+        threads,
+        donor: None,
+    }
+}
 
 const THREAD_WIDTHS: [usize; 3] = [1, 2, 8];
 const PATHS: [AccessPath; 3] = [AccessPath::Auto, AccessPath::ForceScan, AccessPath::ForceIndex];
@@ -48,7 +57,7 @@ fn fixture(rows: i64, shard_rows: usize, indexed: bool) -> Relation {
 /// truth every other (layout, path, width) combination must equal.
 fn ground_truth(relation: &Relation, sql: &str) -> Vec<u32> {
     let q = parse_and_normalize(sql, relation.schema()).unwrap();
-    execute_normalized_with(relation, &q, AccessPath::ForceScan)
+    execute(relation, &q, &opts(AccessPath::ForceScan, 0))
         .unwrap()
         .rows()
         .to_vec()
@@ -66,7 +75,7 @@ fn assert_equivalent(rows: i64, shard_layouts: &[usize], sql: &str, expect_len: 
             let q = parse_and_normalize(sql, rel.schema()).unwrap();
             for path in PATHS {
                 for threads in THREAD_WIDTHS {
-                    let got = execute_normalized_with_threads(&rel, &q, path, threads).unwrap();
+                    let got = execute(&rel, &q, &opts(path, threads)).unwrap();
                     assert_eq!(
                         got.rows(),
                         truth.as_slice(),
@@ -121,7 +130,7 @@ fn empty_relation_queries_cleanly_at_any_layout() {
             for path in PATHS {
                 for threads in THREAD_WIDTHS {
                     let got =
-                        execute_normalized_with_threads(&rel, &q, path, threads).unwrap();
+                        execute(&rel, &q, &opts(path, threads)).unwrap();
                     assert!(got.is_empty(), "{path:?} threads={threads}");
                 }
             }
@@ -138,7 +147,7 @@ fn matches_confined_to_one_shard_survive_pruning() {
     let q = parse_and_normalize("SELECT * FROM homes WHERE price >= 170000", rel.schema())
         .unwrap();
     let (rows, explain) =
-        qcat::exec::plan::select_rows(&rel, &q, AccessPath::Auto).unwrap();
+        qcat::exec::plan::select_rows(&rel, &q, &ExecOptions::default()).unwrap();
     assert_eq!(rows.len(), 20);
     assert_eq!(rows.first(), Some(&70));
     assert_eq!(explain.shards_pruned, 2, "two shards proven priced below 170k");
@@ -158,7 +167,7 @@ fn value_clustering_enables_categorical_pruning() {
     let rotating = fixture(90, 30, false);
     let q = parse_and_normalize(sql, rotating.schema()).unwrap();
     let (base_rows, base_explain) =
-        qcat::exec::plan::select_rows(&rotating, &q, AccessPath::Auto).unwrap();
+        qcat::exec::plan::select_rows(&rotating, &q, &ExecOptions::default()).unwrap();
     assert_eq!(base_rows.len(), 30);
     assert_eq!(base_explain.shards_pruned, 0, "rotating layout is unprunable");
 
@@ -179,7 +188,7 @@ fn value_clustering_enables_categorical_pruning() {
     }
     let clustered = b.finish().unwrap();
     let (rows, explain) =
-        qcat::exec::plan::select_rows(&clustered, &q, AccessPath::Auto).unwrap();
+        qcat::exec::plan::select_rows(&clustered, &q, &ExecOptions::default()).unwrap();
     assert_eq!(rows.len(), 30, "clustering must not change the answer cardinality");
     assert!(
         explain.shards_pruned > 0,
@@ -236,11 +245,11 @@ fn appended_tail_plans_and_prunes_like_a_fresh_build() {
         "SELECT * FROM homes",
     ] {
         let q = parse_and_normalize(sql, appended.schema()).unwrap();
-        let truth = execute_normalized_with(&fresh, &q, AccessPath::ForceScan).unwrap();
+        let truth = execute(&fresh, &q, &opts(AccessPath::ForceScan, 0)).unwrap();
         for path in PATHS {
             for threads in THREAD_WIDTHS {
                 let got =
-                    execute_normalized_with_threads(&appended, &q, path, threads).unwrap();
+                    execute(&appended, &q, &opts(path, threads)).unwrap();
                 assert_eq!(got.rows(), truth.rows(), "{sql}: {path:?} threads={threads}");
             }
         }
@@ -252,14 +261,14 @@ fn appended_tail_plans_and_prunes_like_a_fresh_build() {
         parse_and_normalize("SELECT * FROM homes WHERE price < 115000", appended.schema())
             .unwrap();
     let (rows, explain) =
-        qcat::exec::plan::select_rows(&appended, &old_only, AccessPath::Auto).unwrap();
+        qcat::exec::plan::select_rows(&appended, &old_only, &ExecOptions::default()).unwrap();
     assert_eq!(rows.len(), 15);
     assert!(explain.shards_pruned >= 1, "tail shard must be pruned: {explain:?}");
     let new_only =
         parse_and_normalize("SELECT * FROM homes WHERE price >= 195000", appended.schema())
             .unwrap();
     let (rows, explain) =
-        qcat::exec::plan::select_rows(&appended, &new_only, AccessPath::Auto).unwrap();
+        qcat::exec::plan::select_rows(&appended, &new_only, &ExecOptions::default()).unwrap();
     assert_eq!(rows.len(), 25);
     assert!(explain.shards_pruned >= 2, "base shards must be pruned: {explain:?}");
 }
@@ -279,7 +288,7 @@ fn sharded_serving_pins_trees_and_cache_outcomes() {
                ('Bellevue','Redmond','Kirkland','Issaquah') \
                AND price BETWEEN 150000 AND 500000";
     let query = parse_and_normalize(sql, &schema).unwrap();
-    let scan = execute_normalized_with(&env.relation, &query, AccessPath::ForceScan).unwrap();
+    let scan = execute(&env.relation, &query, &opts(AccessPath::ForceScan, 0)).unwrap();
     assert!(scan.len() > 50, "probe query too narrow: {}", scan.len());
     let categorizer = Categorizer::new(&stats, env.config);
     let want_tree = render_tree(&categorizer.categorize(&scan, Some(&query)), usize::MAX);
@@ -291,7 +300,7 @@ fn sharded_serving_pins_trees_and_cache_outcomes() {
     for path in PATHS {
         for threads in THREAD_WIDTHS {
             let got =
-                execute_normalized_with_threads(&sharded, &query, path, threads).unwrap();
+                execute(&sharded, &query, &opts(path, threads)).unwrap();
             assert_eq!(got.rows(), scan.rows(), "{path:?} threads={threads}");
         }
     }
@@ -324,10 +333,10 @@ fn workload_sweep_matches_across_layouts() {
     let mut pruned_total = 0usize;
     for query in env.log.queries().iter().take(120) {
         let scan =
-            execute_normalized_with(&env.relation, query, AccessPath::ForceScan).unwrap();
+            execute(&env.relation, query, &opts(AccessPath::ForceScan, 0)).unwrap();
         for path in [AccessPath::Auto, AccessPath::ForceIndex] {
             let (rows, explain) =
-                qcat::exec::plan::select_rows(&sharded, query, path).unwrap();
+                qcat::exec::plan::select_rows(&sharded, query, &opts(path, 0)).unwrap();
             assert_eq!(rows.as_slice(), scan.rows(), "{path:?} diverged on {query:?}");
             pruned_total += explain.shards_pruned;
         }
@@ -373,7 +382,7 @@ fn transcript(env: &StudyEnv, rel: &Relation, sql: &str) -> Vec<String> {
     let mut out = Vec::new();
     for path in PATHS {
         for threads in THREAD_WIDTHS {
-            let result = execute_normalized_with_threads(rel, &q, path, threads).unwrap();
+            let result = execute(rel, &q, &opts(path, threads)).unwrap();
             out.push(format!("{path:?}/{threads}: {:?}", result.rows()));
             let plain = env.config.with_threads(threads);
             for config in [plain, plain.with_categorical_grouping(4, 2)] {
@@ -428,12 +437,8 @@ fn unsharded_appends_match_a_fresh_build() {
             "the appended rows live in their own segment"
         );
         for (sql, want) in STRADDLING.iter().zip(&want) {
-            let result = execute_normalized_with(
-                &grown,
-                &parse_and_normalize(sql, grown.schema()).unwrap(),
-                AccessPath::Auto,
-            )
-            .unwrap();
+            let q = parse_and_normalize(sql, grown.schema()).unwrap();
+            let result = execute(&grown, &q, &ExecOptions::default()).unwrap();
             let boundary = grown.shards().bounds(0).1 as u32;
             assert!(
                 result.rows().iter().any(|&r| r < boundary)
@@ -499,10 +504,10 @@ fn tail_seals_exactly_at_the_segment_size() {
             "SELECT * FROM homes WHERE bedroomcount IN (1, 5)",
         ] {
             let q = parse_and_normalize(sql, fresh.schema()).unwrap();
-            let truth = execute_normalized_with(&fresh, &q, AccessPath::ForceScan).unwrap();
+            let truth = execute(&fresh, &q, &opts(AccessPath::ForceScan, 0)).unwrap();
             for path in PATHS {
                 for threads in THREAD_WIDTHS {
-                    let got = execute_normalized_with_threads(&next, &q, path, threads).unwrap();
+                    let got = execute(&next, &q, &opts(path, threads)).unwrap();
                     assert_eq!(
                         got.rows(),
                         truth.rows(),
@@ -548,8 +553,8 @@ fn layout_preserving_copy_appends_plans_and_renders_identically() {
         assert_eq!(bounds(&a), bounds(&b));
         for sql in STRADDLING {
             let q = parse_and_normalize(sql, a.schema()).unwrap();
-            let (ra, ea) = qcat::exec::plan::select_rows(&a, &q, AccessPath::Auto).unwrap();
-            let (rb, eb) = qcat::exec::plan::select_rows(&b, &q, AccessPath::Auto).unwrap();
+            let (ra, ea) = qcat::exec::plan::select_rows(&a, &q, &ExecOptions::default()).unwrap();
+            let (rb, eb) = qcat::exec::plan::select_rows(&b, &q, &ExecOptions::default()).unwrap();
             assert_eq!((ra, ea), (rb, eb), "{sql}");
             assert_eq!(
                 transcript(&env, &a, sql),
