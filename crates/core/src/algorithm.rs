@@ -12,29 +12,30 @@
 //! `(candidate attribute × oversized node)` pair is one work item for
 //! the [`qcat_pool::ThreadPool`], and a work item *prices* its
 //! would-be partitioning from a counting pass
-//! ([`CategoricalPlan::priced_split`],
-//! [`NumericPlan::priced_split_in_window`]) without materializing
-//! tuple-sets — only the winning attribute's partitionings are ever
-//! built. Costs are reduced serially in (candidate, node) order, so
-//! the float sums — and therefore the tree — are byte-identical at
-//! every thread count. Shared work is cached per categorization, since
-//! none of it depends on the level: one occ-sorted [`CategoricalPlan`]
+//! ([`CategoricalPlan::split`], [`NumericPlan::split`]) without
+//! materializing it — only the winning attribute's splits are ever
+//! scattered into the tree's row permutation. Costs are reduced
+//! serially in (candidate, node) order, so the float sums — and
+//! therefore the tree — are byte-identical at every thread count.
+//! Shared work is cached per categorization, since none of it depends
+//! on the level: one occ-sorted [`CategoricalPlan`]
 //! per categorical attribute, one goodness-ranked [`NumericPlan`] per
 //! numeric attribute, and one [`ProbCache`] memoizing `Pw` per
 //! attribute and `P(C)` per numeric interval.
 
 use crate::config::CategorizeConfig;
 use crate::cost::one_level_cost_all;
-use crate::label::{CategoricalCol, CategoryLabel};
+use crate::label::CategoricalCol;
 use crate::partition::categorical::{CategoricalPlan, ValueOrder};
-use crate::partition::numeric::{query_window, NumericPlan};
-use crate::partition::{Part, Partitioning};
+use crate::partition::numeric::{query_window, single_bucket, NumericPlan};
+use crate::partition::Partitioning;
 use crate::probability::ProbCache;
 use crate::tree::{CategoryTree, DegradeReason, NodeId};
 use qcat_data::{AttrId, AttrType, Relation};
 use qcat_exec::ResultSet;
+use qcat_fault::BudgetExceeded;
 use qcat_pool::ThreadPool;
-use qcat_sql::{NormalizedQuery, NumericRange};
+use qcat_sql::NormalizedQuery;
 use qcat_workload::WorkloadStatistics;
 
 /// One level's decision record in a [`CategorizeTrace`].
@@ -366,55 +367,36 @@ impl<'a> Categorizer<'a> {
             let Some(best_idx) = best_idx else { break };
             let attr = candidate_costs[best_idx].0;
             // Only the winner is materialized: the losers were priced
-            // from counting passes and never allocated tuple-sets.
-            let materialized: Result<Vec<(NodeId, Partitioning)>, qcat_pool::PoolError> = {
+            // from counting passes and never scattered. Each node's
+            // rows are scattered into scratch space here; they reach
+            // the tree's permutation only once the level is charged.
+            let materialized = {
                 let _mspan = qcat_obs::span!("categorize.level.select.materialize");
-                match &plans[best_idx] {
-                    _ if leaf[best_idx] => Ok(Vec::new()),
-                    CandPlan::Leaf => Ok(Vec::new()),
-                    CandPlan::Cat { col, plan, .. } => pool
-                        .try_map_work(&s, level_tuples, |_, &id| {
-                            let _item_span = qcat_obs::span!(
-                                "categorize.level.select.materialize.item",
-                                tuples = tree.node(id).tuple_count(),
-                            );
-                            plan.split_grouped(
-                                col,
-                                &tree.node(id).tset,
-                                self.config.categorical_group_threshold,
-                                self.config.grouping_top_k,
-                            )
-                        })
-                        .map(|split| s.iter().copied().zip(split).collect()),
-                    CandPlan::Num {
-                        plan,
-                        pw,
-                        root_window,
-                    } => pool
-                        .try_map_work(&s, level_tuples, |_, &id| {
-                            let _item_span = qcat_obs::span!(
-                                "categorize.level.select.materialize.item",
-                                tuples = tree.node(id).tuple_count(),
-                            );
-                            let node = tree.node(id);
-                            let window = if id == NodeId::ROOT {
-                                *root_window
-                            } else {
-                                None
-                            };
-                            plan.split_in_window(
-                                &relation,
-                                &node.tset,
-                                &self.config,
-                                &probs,
-                                *pw,
-                                window,
-                            )
-                            .unwrap_or_else(|| single_bucket(&relation, attr, &node.tset, &probs))
-                        })
-                        .map(|split| s.iter().copied().zip(split).collect()),
+                if leaf[best_idx] {
+                    Ok(Vec::new())
+                } else {
+                    pool.try_map_work(&s, level_tuples, |_, &id| {
+                        let _item_span = qcat_obs::span!(
+                            "categorize.level.select.materialize.item",
+                            tuples = tree.node(id).tuple_count(),
+                        );
+                        self.materialize(&tree, &relation, &plans[best_idx], attr, id, &probs)
+                            .map(|(p, rows)| (id, p, rows))
+                    })
                 }
             };
+            // A scatter cut short by a budget trip fails the level like
+            // a cancelled pool task: it could not be charged anyway.
+            let tripped = || {
+                let reason = gas.as_ref().and_then(|g| g.exceeded());
+                qcat_pool::PoolError::Cancelled(reason.unwrap_or(BudgetExceeded::Cancelled))
+            };
+            let materialized = materialized.and_then(|parts| {
+                parts
+                    .into_iter()
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or_else(tripped)
+            });
             let parts = match materialized {
                 Ok(parts) => parts,
                 Err(e) => {
@@ -422,15 +404,16 @@ impl<'a> Categorizer<'a> {
                     break;
                 }
             };
-            let categories_created: usize = parts.iter().map(|(_, p)| p.len()).sum();
+            let categories_created: usize = parts.iter().map(|(_, p, _)| p.len()).sum();
             // Charge structural growth before attaching anything: a
-            // level that would bust a cap is dropped whole, keeping
-            // the completed prefix identical to an unbudgeted run.
+            // level that would bust a cap is dropped whole, leaving
+            // the permutation untouched and the completed prefix
+            // identical to an unbudgeted run.
             if let Some(g) = &gas {
                 let heap_estimate: usize = parts
                     .iter()
-                    .flat_map(|(_, p)| p.parts.iter())
-                    .map(|part| part.tset.len() * std::mem::size_of::<u32>() + 64)
+                    .flat_map(|(_, p, _)| p.parts.iter())
+                    .map(|part| part.size * std::mem::size_of::<u32>() + 64)
                     .sum();
                 let charged = g
                     .charge_nodes(categories_created)
@@ -467,31 +450,19 @@ impl<'a> Categorizer<'a> {
             let pw = probs.p_showtuples(attr);
             let conditional =
                 self.config.conditional_probabilities && self.stats.correlation_index().is_some();
-            for (node, partitioning) in parts {
-                // Path labels are cloned out because attaching children
-                // mutates the tree.
-                let path: Vec<CategoryLabel> = if conditional {
-                    tree.path_labels(node).into_iter().cloned().collect()
-                } else {
-                    Vec::new()
-                };
-                let path_refs: Vec<&CategoryLabel> = path.iter().collect();
-                for part in partitioning.parts {
+            for (node, mut partitioning, rows) in parts {
+                let mut node_pw = pw;
+                if conditional {
                     // Parts carry the unconditional P(C) the
                     // partitioner derived; conditional mode replaces
                     // it with P(C | path).
-                    let p = if conditional {
-                        estimator.p_explore_conditional(&part.label, &path_refs)
-                    } else {
-                        part.p_explore
-                    };
-                    tree.add_child(node, part.label, part.tset, p);
+                    let path = tree.path_labels(node);
+                    for part in &mut partitioning.parts {
+                        part.p_explore = estimator.p_explore_conditional(&part.label, &path);
+                    }
+                    node_pw = estimator.p_showtuples_conditional(attr, &path);
                 }
-                let node_pw = if conditional {
-                    estimator.p_showtuples_conditional(attr, &path_refs)
-                } else {
-                    pw
-                };
+                tree.attach(node, partitioning, &rows);
                 tree.set_p_showtuples(node, node_pw);
             }
             candidates.remove(best_idx);
@@ -556,16 +527,19 @@ impl<'a> Categorizer<'a> {
         probs: &ProbCache<'_>,
     ) -> PricedItem {
         let node = tree.node(id);
+        let rows = tree.tuples(id);
         let scan = node.tuple_count() as f64; // 0/1-way split: user scans
         let (price, categories, partitionable) = match plan {
             CandPlan::Leaf => (scan, 0, false),
             CandPlan::Cat { col, plan, pw } => {
-                let children = plan.priced_split(
-                    col,
-                    &node.tset,
-                    self.config.categorical_group_threshold,
-                    self.config.grouping_top_k,
-                );
+                let children = plan
+                    .split(
+                        col,
+                        rows,
+                        self.config.categorical_group_threshold,
+                        self.config.grouping_top_k,
+                    )
+                    .priced();
                 let price = if children.len() < 2 {
                     scan
                 } else {
@@ -578,21 +552,14 @@ impl<'a> Categorizer<'a> {
                 pw,
                 root_window,
             } => {
-                let window = if id == NodeId::ROOT {
-                    *root_window
-                } else {
-                    None
-                };
-                let priced = plan.priced_split_in_window(
-                    relation,
-                    &node.tset,
-                    &self.config,
-                    probs,
-                    *pw,
-                    window,
-                );
-                let partitionable = priced.spread || window.is_some();
-                match priced.children {
+                // The query's window applies at the root only.
+                let window = root_window.filter(|_| id == NodeId::ROOT);
+                let split = plan.split(relation, rows, &self.config, probs, *pw, window);
+                let partitionable = split.spread || window.is_some();
+                let children = split
+                    .parts(probs)
+                    .map(|parts| parts.map(|p| (p.p_explore, p.size)).collect::<Vec<_>>());
+                match children {
                     Some(children) if children.len() >= 2 => (
                         one_level_cost_all(
                             node.tuple_count(),
@@ -614,6 +581,48 @@ impl<'a> Categorizer<'a> {
             term: node.p_explore * price,
             categories,
             partitionable,
+        }
+    }
+
+    /// Materialize the winning candidate's split of one node: its
+    /// partitioning plus the node's rows scattered part by part. Runs
+    /// on pool workers. `None` when a budget trip cut the categorical
+    /// scatter short (a numeric one falls back to the single bucket);
+    /// a leaf candidate is never materialized.
+    fn materialize(
+        &self,
+        tree: &CategoryTree,
+        relation: &Relation,
+        plan: &CandPlan<'_>,
+        attr: AttrId,
+        id: NodeId,
+        probs: &ProbCache<'_>,
+    ) -> Option<(Partitioning, Vec<u32>)> {
+        let rows = tree.tuples(id);
+        match plan {
+            CandPlan::Leaf => None,
+            CandPlan::Cat { col, plan, .. } => plan
+                .split(
+                    col,
+                    rows,
+                    self.config.categorical_group_threshold,
+                    self.config.grouping_top_k,
+                )
+                .materialize(col, rows),
+            CandPlan::Num {
+                plan,
+                pw,
+                root_window,
+            } => {
+                // The query's window applies at the root only.
+                let window = root_window.filter(|_| id == NodeId::ROOT);
+                let split = plan.split(relation, rows, &self.config, probs, *pw, window);
+                Some(
+                    split
+                        .materialize(relation, rows, probs)
+                        .unwrap_or_else(|| single_bucket(relation, attr, rows, probs)),
+                )
+            }
         }
     }
 
@@ -645,13 +654,37 @@ impl<'a> Categorizer<'a> {
             }
         }
     }
+}
+
+/// Map a pool failure to the degradation reason the tree reports:
+/// budget trips keep their reason; panics and injected faults are
+/// internal failures (the completed prefix is still sound).
+fn degrade_reason(e: &qcat_pool::PoolError) -> DegradeReason {
+    match e {
+        qcat_pool::PoolError::Cancelled(b) => DegradeReason::from(*b),
+        qcat_pool::PoolError::TaskPanicked { .. } | qcat_pool::PoolError::Fault(_) => {
+            DegradeReason::Internal
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::BucketCount;
+    use crate::label::CategoryLabel;
+    use crate::probability::ProbabilityEstimator;
+    use qcat_data::{Field, RelationBuilder, Schema};
+    use qcat_exec::{execute, ExecOptions};
+    use qcat_sql::parse_and_normalize;
+    use qcat_sql::NumericRange;
+    use qcat_workload::{PreprocessConfig, WorkloadLog};
 
     /// Materialize and price one candidate attribute for a level —
     /// the reference composition the fused pool path must agree with;
     /// tests use it to evaluate one candidate in isolation.
-    #[cfg(test)]
     fn evaluate_attribute(
-        &self,
+        cat: &Categorizer<'_>,
         tree: &CategoryTree,
         relation: &Relation,
         s: &[NodeId],
@@ -659,64 +692,34 @@ impl<'a> Categorizer<'a> {
         query: Option<&NormalizedQuery>,
         probs: &ProbCache<'_>,
     ) -> (f64, Vec<(NodeId, Partitioning)>) {
-        let parts: Option<Vec<(NodeId, Partitioning)>> = match relation.schema().type_of(attr) {
-            AttrType::Categorical => CategoricalCol::of(relation, attr).map(|col| {
-                let plan = CategoricalPlan::build(&col, self.stats, ValueOrder::ByOccurrence);
-                s.iter()
-                    .map(|&id| {
-                        (
-                            id,
-                            plan.split_grouped(
-                                &col,
-                                &tree.node(id).tset,
-                                self.config.categorical_group_threshold,
-                                self.config.grouping_top_k,
-                            ),
-                        )
-                    })
-                    .collect()
-            }),
-            AttrType::Int | AttrType::Float => {
-                let window = |id: NodeId| {
-                    if id == NodeId::ROOT {
-                        query_window(attr, query)
-                    } else {
-                        None
-                    }
-                };
-                // A level where no node has a value window is a leaf
-                // level: nothing is partitioned.
-                let partitionable = |id: NodeId| {
-                    window(id).is_some()
-                        || relation
-                            .column(attr)
-                            .numeric_min_max(&tree.node(id).tset)
-                            .is_some_and(|(lo, hi)| lo < hi)
-                };
-                s.iter().copied().any(partitionable).then(|| {
-                    let pw = probs.p_showtuples(attr);
-                    let plan = NumericPlan::build(self.stats, attr);
-                    s.iter()
-                        .map(|&id| {
-                            let node = tree.node(id);
-                            let partitioning = plan
-                                .split_in_window(
-                                    relation,
-                                    &node.tset,
-                                    &self.config,
-                                    probs,
-                                    pw,
-                                    window(id),
-                                )
-                                .unwrap_or_else(|| {
-                                    single_bucket(relation, attr, &node.tset, probs)
-                                });
-                            (id, partitioning)
-                        })
-                        .collect()
-                })
+        let plan = cat.plan(relation, attr, query, probs);
+        // A level where no node has a value window is a leaf level:
+        // nothing is partitioned.
+        let partitionable = |id: NodeId| match &plan {
+            CandPlan::Leaf => false,
+            CandPlan::Cat { .. } => true,
+            CandPlan::Num { root_window, .. } => {
+                (id == NodeId::ROOT && root_window.is_some())
+                    || relation
+                        .column(attr)
+                        .numeric_min_max(tree.tuples(id))
+                        .is_some_and(|(lo, hi)| lo < hi)
             }
         };
+        let parts: Option<Vec<(NodeId, Partitioning)>> =
+            s.iter().copied().any(partitionable).then(|| {
+                s.iter()
+                    .filter_map(|&id| {
+                        let (p, rows) = cat.materialize(tree, relation, &plan, attr, id, probs)?;
+                        let mut want = tree.tuples(id).to_vec();
+                        let mut got = rows;
+                        want.sort_unstable();
+                        got.sort_unstable();
+                        assert_eq!(got, want, "the scatter keeps exactly the node's rows");
+                        Some((id, p))
+                    })
+                    .collect()
+            });
         let cost = match &parts {
             None => s
                 .iter()
@@ -737,7 +740,7 @@ impl<'a> Categorizer<'a> {
                             one_level_cost_all(
                                 node.tuple_count(),
                                 pw,
-                                self.config.label_cost,
+                                cat.config.label_cost,
                                 &p.children_for_pricing(),
                             )
                         };
@@ -748,54 +751,6 @@ impl<'a> Categorizer<'a> {
         };
         (cost, parts.unwrap_or_default())
     }
-}
-
-/// Map a pool failure to the degradation reason the tree reports:
-/// budget trips keep their reason; panics and injected faults are
-/// internal failures (the completed prefix is still sound).
-fn degrade_reason(e: &qcat_pool::PoolError) -> DegradeReason {
-    match e {
-        qcat_pool::PoolError::Cancelled(b) => DegradeReason::from(*b),
-        qcat_pool::PoolError::TaskPanicked { .. } | qcat_pool::PoolError::Fault(_) => {
-            DegradeReason::Internal
-        }
-    }
-}
-
-/// Fallback single-bucket partitioning for a numeric attribute with no
-/// usable splitpoint: the node gets one child covering its full
-/// window, keeping it eligible for deeper levels (Figure 6 always
-/// creates the level's categories).
-fn single_bucket(
-    relation: &Relation,
-    attr: AttrId,
-    tset: &[u32],
-    probs: &ProbCache<'_>,
-) -> Partitioning {
-    let (lo, hi) = relation
-        .column(attr)
-        .numeric_min_max(tset)
-        .unwrap_or((0.0, 0.0));
-    let range = NumericRange::closed(lo, hi);
-    Partitioning {
-        attr,
-        parts: vec![Part {
-            p_explore: probs.p_explore_range(attr, &range),
-            label: CategoryLabel::range(attr, range),
-            tset: tset.to_vec(),
-        }],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::BucketCount;
-    use crate::probability::ProbabilityEstimator;
-    use qcat_data::{Field, RelationBuilder, Schema};
-    use qcat_exec::{execute, ExecOptions};
-    use qcat_sql::parse_and_normalize;
-    use qcat_workload::{PreprocessConfig, WorkloadLog};
 
     /// A small homes table: 3 neighborhoods × prices.
     fn homes(n: usize) -> Relation {
@@ -968,7 +923,7 @@ mod tests {
         assert_eq!(t1.node_count(), t2.node_count());
         assert_eq!(t1.level_attrs(), t2.level_attrs());
         for (a, b) in t1.dfs().iter().zip(t2.dfs().iter()) {
-            assert_eq!(t1.node(*a).tset, t2.node(*b).tset);
+            assert_eq!(t1.tuples(*a), t2.tuples(*b));
         }
     }
 
@@ -988,12 +943,64 @@ mod tests {
             );
             assert_eq!(tree.level_attrs(), reference.level_attrs());
             for (a, b) in tree.dfs().iter().zip(reference.dfs().iter()) {
-                assert_eq!(tree.node(*a).tset, reference.node(*b).tset);
+                assert_eq!(tree.tuples(*a), reference.tuples(*b));
                 assert_eq!(
                     tree.node(*a).p_explore.to_bits(),
                     reference.node(*b).p_explore.to_bits(),
                     "P(C) must be bit-identical across thread counts"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn order_by_does_not_change_the_tree() {
+        // The tree keeps its rows in table order: an ORDER BY answer
+        // is the same set as the unordered one, so every node — label,
+        // P, Pw and rows — must match at every thread count.
+        let rel = homes(400);
+        let st = stats(&rel, &hot_workload());
+        let base = CategorizeConfig::default()
+            .with_max_leaf_tuples(20)
+            .with_attr_threshold(0.1)
+            .with_categorical_grouping(2, 1);
+        for (sql, order_by) in [
+            (
+                "SELECT * FROM homes WHERE price BETWEEN 200000 AND 300000",
+                "price DESC",
+            ),
+            (
+                "SELECT * FROM homes WHERE neighborhood IN ('Redmond','Bellevue','Seattle')",
+                "bedroomcount, price DESC",
+            ),
+            ("SELECT * FROM homes", "neighborhood DESC, price"),
+        ] {
+            let plain = parse_and_normalize(sql, rel.schema()).unwrap();
+            let ordered =
+                parse_and_normalize(&format!("{sql} ORDER BY {order_by}"), rel.schema()).unwrap();
+            let plain_rows = execute(&rel, &plain, &ExecOptions::default()).unwrap();
+            let ordered_rows = execute(&rel, &ordered, &ExecOptions::default()).unwrap();
+            assert_ne!(
+                plain_rows.rows(),
+                ordered_rows.rows(),
+                "{sql}: really reordered"
+            );
+            for threads in [1, 2, 8] {
+                let cat = Categorizer::new(&st, base.with_threads(threads));
+                let want = cat.categorize(&plain_rows, Some(&plain));
+                let got = cat.categorize(&ordered_rows, Some(&ordered));
+                got.check_invariants().unwrap();
+                let case = format!("{sql} ORDER BY {order_by}, threads={threads}");
+                assert!(want.depth() >= 2, "{case}: a multilevel tree");
+                assert_eq!(got.node_count(), want.node_count(), "{case}");
+                for (a, b) in got.dfs().into_iter().zip(want.dfs()) {
+                    let (x, y) = (got.node(a), want.node(b));
+                    let label = |l: Option<&CategoryLabel>| l.map(|l| l.render(&rel));
+                    assert_eq!(label(x.label.as_ref()), label(y.label.as_ref()), "{case}");
+                    assert_eq!(x.p_explore.to_bits(), y.p_explore.to_bits(), "{case}");
+                    assert_eq!(x.p_showtuples.to_bits(), y.p_showtuples.to_bits(), "{case}");
+                    assert_eq!(got.tuples(a), want.tuples(b), "{case}: rows of {a}");
+                }
             }
         }
     }
@@ -1175,7 +1182,7 @@ mod tests {
         let mut best_cost = f64::INFINITY;
         let mut best_attr = None;
         for attr in cat.candidate_attrs() {
-            let (cost, _) = cat.evaluate_attribute(&base, &rel, &s, attr, None, &probs);
+            let (cost, _) = evaluate_attribute(&cat, &base, &rel, &s, attr, None, &probs);
             if cost < best_cost {
                 best_cost = cost;
                 best_attr = Some(attr);
@@ -1217,9 +1224,16 @@ mod tests {
             tree.check_invariants().unwrap();
             assert_eq!(tree.depth(), 1, "threads={threads}");
             assert_eq!(tree.level_attrs(), &full.level_attrs()[..1]);
+            // Internal nodes list their rows grouped by child, and the
+            // level-1 nodes are leaves only here: compare table order.
+            let table_order = |t: &CategoryTree, id: NodeId| {
+                let mut rows = t.tuples(id).to_vec();
+                rows.sort_unstable();
+                rows
+            };
             for (a, b) in tree.dfs().iter().zip(full.dfs().iter()) {
                 if tree.node(*a).level <= 1 && full.node(*b).level <= 1 {
-                    assert_eq!(tree.node(*a).tset, full.node(*b).tset);
+                    assert_eq!(table_order(&tree, *a), table_order(&full, *b));
                 }
             }
             if let Some(r) = &reference {
@@ -1244,7 +1258,7 @@ mod tests {
         // No level completed: root-only tree = flat listing fallback.
         assert_eq!(tree.degraded(), Some(DegradeReason::Deadline));
         assert_eq!(tree.node_count(), 1);
-        assert_eq!(tree.node(NodeId::ROOT).tset.len(), rel.len());
+        assert_eq!(tree.tuples(NodeId::ROOT).len(), rel.len());
     }
 
     #[test]
@@ -1283,7 +1297,7 @@ mod tests {
         let s = vec![NodeId::ROOT];
         let base = CategoryTree::new(rel.clone(), result.rows().to_vec());
         for attr in cat.candidate_attrs() {
-            let (reference, _) = cat.evaluate_attribute(&base, &rel, &s, attr, None, &probs);
+            let (reference, _) = evaluate_attribute(&cat, &base, &rel, &s, attr, None, &probs);
             let plan = match rel.schema().type_of(attr) {
                 AttrType::Categorical => {
                     let col = CategoricalCol::of(&rel, attr).unwrap();

@@ -17,15 +17,15 @@
 
 use crate::config::CategorizeConfig;
 use crate::cost::one_level_cost_all;
-use crate::label::{CategoricalCol, CategoryLabel};
+use crate::label::CategoricalCol;
 use crate::partition::categorical::{CategoricalPlan, ValueOrder};
 use crate::partition::equiwidth::equiwidth_split;
-use crate::partition::{Part, Partitioning};
+use crate::partition::numeric::single_bucket;
+use crate::partition::Partitioning;
 use crate::probability::ProbCache;
 use crate::tree::{CategoryTree, NodeId};
 use qcat_data::{AttrId, AttrType, Relation};
 use qcat_exec::ResultSet;
-use qcat_sql::NumericRange;
 use qcat_workload::WorkloadStatistics;
 
 /// Configuration shared by the two baselines.
@@ -82,8 +82,12 @@ fn arbitrary_order(attrs: &mut [AttrId], seed: u64) {
     }
 }
 
+/// One node's materialized partitioning: the parts plus the node's
+/// rows scattered part by part.
+type NodeSplit = (NodeId, Partitioning, Vec<u32>);
+
 /// The winning candidate of one level under the MinCost policy.
-type LevelChoice = (f64, AttrId, Vec<(NodeId, Partitioning)>);
+type LevelChoice = (f64, AttrId, Vec<NodeSplit>);
 
 /// Attribute-selection policy distinguishing the two baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,10 +177,8 @@ fn build(
         };
         tree.push_level(attr);
         let pw = probs.p_showtuples(attr);
-        for (node, partitioning) in parts {
-            for part in partitioning.parts {
-                tree.add_child(node, part.label, part.tset, part.p_explore);
-            }
+        for (node, partitioning, rows) in parts {
+            tree.attach(node, partitioning, &rows);
             tree.set_p_showtuples(node, pw);
         }
         candidates.retain(|&a| a != attr);
@@ -195,7 +197,7 @@ fn partition_level(
     s: &[NodeId],
     attr: AttrId,
     probs: &ProbCache<'_>,
-) -> Option<Vec<(NodeId, Partitioning)>> {
+) -> Option<Vec<NodeSplit>> {
     let mut out = Vec::with_capacity(s.len());
     let mut any_real_split = false;
     match relation.schema().type_of(attr) {
@@ -203,9 +205,10 @@ fn partition_level(
             let col = CategoricalCol::of(relation, attr)?;
             let plan = CategoricalPlan::build(&col, stats, ValueOrder::Arbitrary);
             for &id in s {
-                let p = plan.split(&col, &tree.node(id).tset);
+                let rows = tree.tuples(id);
+                let (p, rows) = plan.split(&col, rows, None, 0).materialize(&col, rows)?;
                 any_real_split |= p.len() >= 2;
-                out.push((id, p));
+                out.push((id, p, rows));
             }
         }
         AttrType::Int | AttrType::Float => {
@@ -215,11 +218,11 @@ fn partition_level(
                     .map(|t| t.interval())
                     .unwrap_or_else(|| default_interval(relation, attr));
             for &id in s {
-                let tset = &tree.node(id).tset;
-                let p = equiwidth_split(relation, attr, tset, width, probs)
-                    .unwrap_or_else(|| numeric_single(relation, attr, tset, probs));
+                let rows = tree.tuples(id);
+                let (p, rows) = equiwidth_split(relation, attr, rows, width, probs)
+                    .unwrap_or_else(|| single_bucket(relation, attr, rows, probs));
                 any_real_split |= p.len() >= 2;
-                out.push((id, p));
+                out.push((id, p, rows));
             }
         }
     }
@@ -236,38 +239,17 @@ fn default_interval(relation: &Relation, attr: AttrId) -> f64 {
     }
 }
 
-fn numeric_single(
-    relation: &Relation,
-    attr: AttrId,
-    tset: &[u32],
-    probs: &ProbCache<'_>,
-) -> Partitioning {
-    let (lo, hi) = relation
-        .column(attr)
-        .numeric_min_max(tset)
-        .unwrap_or((0.0, 0.0));
-    let range = NumericRange::closed(lo, hi);
-    Partitioning {
-        attr,
-        parts: vec![Part {
-            p_explore: probs.p_explore_range(attr, &range),
-            label: CategoryLabel::range(attr, range),
-            tset: tset.to_vec(),
-        }],
-    }
-}
-
 /// `Σ_C P(C)·CostAll(Tree(C, A))` over a level's partitionings.
 fn level_cost(
     tree: &CategoryTree,
-    parts: &[(NodeId, Partitioning)],
+    parts: &[NodeSplit],
     attr: AttrId,
     probs: &ProbCache<'_>,
 ) -> f64 {
     let pw = probs.p_showtuples(attr);
     parts
         .iter()
-        .map(|(id, partitioning)| {
+        .map(|(id, partitioning, _)| {
             let node = tree.node(*id);
             let cost = if partitioning.len() < 2 {
                 node.tuple_count() as f64

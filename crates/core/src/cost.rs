@@ -153,7 +153,7 @@ mod tests {
             let hi = (next + size as u32) as f64;
             let label = CategoryLabel::range(AttrId(0), NumericRange::half_open(lo, hi));
             let tset: Vec<u32> = (next..next + size as u32).collect();
-            t.add_child(NodeId::ROOT, label, tset, p);
+            t.add_child(NodeId::ROOT, label, &tset, p);
             next += size as u32;
         }
         t.set_p_showtuples(NodeId::ROOT, pw_root);
@@ -234,26 +234,26 @@ mod tests {
         let a = t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::half_open(0.0, 10.0)),
-            (0..10).collect(),
+            &(0..10).collect::<Vec<u32>>(),
             1.0,
         );
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::closed(10.0, 19.0)),
-            (10..20).collect(),
+            &(10..20).collect::<Vec<u32>>(),
             0.0,
         );
         t.push_level(AttrId(1));
         t.add_child(
             a,
             CategoryLabel::range(AttrId(1), NumericRange::half_open(0.0, 5.0)),
-            (0..5).collect(),
+            &(0..5).collect::<Vec<u32>>(),
             1.0,
         );
         t.add_child(
             a,
             CategoryLabel::range(AttrId(1), NumericRange::closed(5.0, 9.0)),
-            (5..10).collect(),
+            &(5..10).collect::<Vec<u32>>(),
             0.0,
         );
         t.set_p_showtuples(NodeId::ROOT, 0.0);

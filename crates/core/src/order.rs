@@ -95,7 +95,7 @@ mod tests {
             t.add_child(
                 NodeId::ROOT,
                 CategoryLabel::range(AttrId(0), range),
-                (next..next + size as u32).collect(),
+                &(next..next + size as u32).collect::<Vec<u32>>(),
                 p,
             );
             next += size as u32;

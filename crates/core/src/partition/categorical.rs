@@ -100,164 +100,76 @@ impl CategoricalPlan {
         (occ_sum as f64 / self.n_attr as f64).clamp(0.0, 1.0)
     }
 
-    /// Partition one node's tuple-set: one single-value category per
-    /// code present in `tset`, in plan order; empty categories are
-    /// dropped (Figure 6: "each non-empty cat C' ∈ SCL").
-    pub fn split(&self, cat: &CategoricalCol<'_>, tset: &[u32]) -> Partitioning {
-        self.split_grouped(cat, tset, None, 0)
-    }
-
-    /// Like [`CategoricalPlan::split`], but with optional tail
-    /// grouping: when the node would get more than `threshold`
-    /// categories, keep the first `top_k` (hottest, in plan order) as
-    /// single-value categories and pool the remainder into one
-    /// multi-value `A ∈ B` category presented last.
+    /// Split one node's rows: one single-value category per code
+    /// present in `tset`, in plan order; empty categories are dropped
+    /// (Figure 6: "each non-empty cat C' ∈ SCL"). With a `threshold`,
+    /// a node that would get more categories keeps the first `top_k`
+    /// (hottest, in plan order) as single-value categories and pools
+    /// the remainder into one multi-value `A ∈ B` category presented
+    /// last.
     ///
-    /// This extends the paper, whose partitioner is single-value only;
-    /// the tail label stays "solely and unambiguously" descriptive
+    /// The tail extends the paper, whose partitioner is single-value
+    /// only; its label stays "solely and unambiguously" descriptive
     /// (Section 3.1 allows `A ∈ B` labels), it just lists more values.
-    pub fn split_grouped(
-        &self,
-        cat: &CategoricalCol<'_>,
-        tset: &[u32],
-        threshold: Option<usize>,
-        top_k: usize,
-    ) -> Partitioning {
-        // Bucket rows by code, preserving tuple-set order within
-        // buckets. A budget trip abandons the pass: the truncated
-        // partitioning can never be attached (see `GasPacer`).
-        let mut pacer = super::GasPacer::new();
-        let empty = Partitioning {
-            attr: self.attr,
-            parts: Vec::new(),
-        };
-        let Some(CodeCounts {
-            counts: mut slot,
-            touched,
-        }) = self.count_codes(cat, tset, &mut pacer)
-        else {
-            return empty;
-        };
-        // One exactly sized bucket per touched code; `slot` now maps a
-        // touched code to its bucket.
-        let mut buckets: Vec<Vec<u32>> = Vec::with_capacity(touched.len());
-        for &code in &touched {
-            buckets.push(Vec::with_capacity(slot[code as usize] as usize));
-            slot[code as usize] = buckets.len() as u32 - 1;
-        }
-        let filled = for_each_code(cat, tset, &mut pacer, |row, code| {
-            buckets[slot[code as usize] as usize].push(row);
-        });
-        if filled.is_none() {
-            return empty;
-        }
-        let singles = self.singles(touched.len(), threshold, top_k);
-        let mut buckets = buckets.into_iter();
-        let mut parts: Vec<Part> = touched[..singles]
-            .iter()
-            .zip(buckets.by_ref())
-            .map(|(&code, rows)| Part {
-                label: CategoryLabel::single_value(
-                    self.attr,
-                    code,
-                    self.values[code as usize].clone(),
-                ),
-                tset: rows,
-                p_explore: self.p_explore_code(code),
-            })
-            .collect();
-        let tail = &touched[singles..];
-        if !tail.is_empty() {
-            let mut rows: Vec<u32> = buckets.flatten().collect();
-            rows.sort_unstable(); // restore table order across pooled values
-            parts.push(Part {
-                label: CategoryLabel::value_set(
-                    self.attr,
-                    tail.iter().map(|&c| (c, self.values[c as usize].clone())),
-                ),
-                tset: rows,
-                p_explore: self.p_of_occ(tail.iter().map(|&c| self.occ[c as usize]).sum()),
-            });
-        }
-        Partitioning {
-            attr: self.attr,
-            parts,
-        }
-    }
-
-    /// Price the split without materializing it: `(p_explore, size)`
-    /// per would-be part, in the same order [`split_grouped`] would
-    /// produce them, from one counting pass over `tset`. This is what
-    /// the Figure-6 loop uses for every candidate; only the winning
-    /// attribute's partitionings are ever materialized.
     ///
-    /// [`split_grouped`]: CategoricalPlan::split_grouped
-    pub fn priced_split(
+    /// This is one counting pass over `tset`. The Figure-6 loop prices
+    /// every candidate from it ([`CatSplit::priced`]) and materializes
+    /// only the winner's ([`CatSplit::materialize`]). A budget trip
+    /// truncates the counts, like the numeric counting pass: they then
+    /// only price a level that can no longer be charged (see
+    /// `GasPacer`), and the scatter refuses them.
+    pub fn split(
         &self,
         cat: &CategoricalCol<'_>,
         tset: &[u32],
         threshold: Option<usize>,
         top_k: usize,
-    ) -> Vec<(f64, usize)> {
-        // As in `split_grouped`, a budget trip abandons the counting
-        // pass; the mispriced result dies with the discarded level.
-        let Some(CodeCounts { counts, touched }) =
-            self.count_codes(cat, tset, &mut super::GasPacer::new())
-        else {
-            return Vec::new();
+    ) -> CatSplit<'_> {
+        let (counts, touched) = self.count_codes(cat, tset);
+        let group_tail = matches!(threshold, Some(t) if touched.len() > t) && top_k >= 1;
+        let singles = if group_tail {
+            top_k.min(touched.len())
+        } else {
+            touched.len()
         };
-        let count = |code: u32| counts[code as usize] as usize;
-        let singles = self.singles(touched.len(), threshold, top_k);
-        let mut children: Vec<(f64, usize)> = touched[..singles]
-            .iter()
-            .map(|&code| (self.p_explore_code(code), count(code)))
-            .collect();
-        let tail = &touched[singles..];
-        if !tail.is_empty() {
-            children.push((
-                self.p_of_occ(tail.iter().map(|&c| self.occ[c as usize]).sum()),
-                tail.iter().map(|&c| count(c)).sum(),
-            ));
+        CatSplit {
+            plan: self,
+            counts,
+            touched,
+            singles,
         }
-        children
     }
 
-    /// The counting pass shared by splitting and pricing: per-code
-    /// tuple counts plus the touched codes in plan order. `None` when a
-    /// budget trip cut the pass short.
+    /// The counting pass behind [`CategoricalPlan::split`]: per-code
+    /// tuple counts (code-indexed) plus the touched codes in plan order.
     ///
     /// A node with at least as many tuples as the dictionary has codes
     /// already pays `O(codes)`, so it counts in the tightest loop and
     /// reads the touched codes off the plan order. A smaller node
     /// records each code's first touch instead and orders those codes
     /// by rank through a bitset, so it never scans the dictionary.
-    fn count_codes(
-        &self,
-        cat: &CategoricalCol<'_>,
-        tset: &[u32],
-        pacer: &mut super::GasPacer,
-    ) -> Option<CodeCounts> {
+    fn count_codes(&self, cat: &CategoricalCol<'_>, tset: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let mut counts = vec![0u32; self.values.len()];
         if tset.len() >= self.values.len() {
-            for_each_code(cat, tset, pacer, |_, code| counts[code as usize] += 1)?;
+            for_each_code(cat, tset, |code| counts[code as usize] += 1);
             let touched = self
                 .order
                 .iter()
                 .copied()
                 .filter(|&code| counts[code as usize] > 0)
                 .collect();
-            return Some(CodeCounts { counts, touched });
+            return (counts, touched);
         }
         // Every row writes its code at `seen`, which advances only on a
         // first touch, so the loop has no data-dependent branch.
         let mut first_touch = vec![0u32; tset.len() + 1];
         let mut seen = 0;
-        for_each_code(cat, tset, pacer, |_, code| {
+        for_each_code(cat, tset, |code| {
             let count = &mut counts[code as usize];
             first_touch[seen] = code;
             seen += usize::from(*count == 0);
             *count += 1;
-        })?;
+        });
         let mut ranks = vec![0u64; self.values.len().div_ceil(64)];
         for &code in &first_touch[..seen] {
             let r = self.rank[code as usize] as usize;
@@ -272,47 +184,114 @@ impl CategoricalPlan {
                 bits &= bits - 1;
             }
         }
-        Some(CodeCounts { counts, touched })
-    }
-
-    /// Shared layout decision for splitting and pricing: how many of a
-    /// node's `touched` non-empty codes (in plan order) become
-    /// single-value categories; the rest pool into the tail, which is
-    /// empty when grouping is off or not triggered.
-    fn singles(&self, touched: usize, threshold: Option<usize>, top_k: usize) -> usize {
-        let group_tail = matches!(threshold, Some(t) if touched > t) && top_k >= 1;
-        if group_tail {
-            top_k.min(touched)
-        } else {
-            touched
-        }
+        (counts, touched)
     }
 }
 
-/// One node's per-code tuple counts (code-indexed; zero for codes it
-/// did not touch) and its touched codes in plan order.
-struct CodeCounts {
+/// One node's categorical split, read off its counting pass: which
+/// codes it touches, how many rows each holds, and how many of them
+/// stay single-value categories ahead of the pooled tail.
+#[derive(Debug)]
+pub struct CatSplit<'p> {
+    plan: &'p CategoricalPlan,
+    /// Rows per code (code-indexed; zero for untouched codes).
     counts: Vec<u32>,
+    /// Touched codes in plan order.
     touched: Vec<u32>,
+    /// How many of `touched` become single-value categories; the rest
+    /// pool into the tail, which is empty when grouping is off or not
+    /// triggered.
+    singles: usize,
 }
 
-/// Feed every row of `tset` with its code to `f`, in tuple-set order.
-/// `None` when a budget trip stopped the pass.
-fn for_each_code(
-    cat: &CategoricalCol<'_>,
-    tset: &[u32],
-    pacer: &mut super::GasPacer,
-    mut f: impl FnMut(u32, u32),
-) -> Option<()> {
+impl CatSplit<'_> {
+    /// `(P(C), size)` per would-be part, in presentation order — the
+    /// shape Equation 1 pricing consumes, with no label built.
+    pub fn priced(&self) -> Vec<(f64, usize)> {
+        let plan = self.plan;
+        let count = |code: u32| self.counts[code as usize] as usize;
+        let mut children: Vec<(f64, usize)> = self.touched[..self.singles]
+            .iter()
+            .map(|&code| (plan.p_explore_code(code), count(code)))
+            .collect();
+        let tail = &self.touched[self.singles..];
+        if !tail.is_empty() {
+            children.push((
+                plan.p_of_occ(tail.iter().map(|&c| plan.occ[c as usize]).sum()),
+                tail.iter().map(|&c| count(c)).sum(),
+            ));
+        }
+        children
+    }
+
+    /// Label the parts and scatter `tset` — the rows this split
+    /// counted — by them (see `partition::scatter`). `None` when a
+    /// budget trip cut the count or the scatter short.
+    pub fn materialize(
+        self,
+        cat: &CategoricalCol<'_>,
+        tset: &[u32],
+    ) -> Option<(Partitioning, Vec<u32>)> {
+        let (plan, singles) = (self.plan, self.singles);
+        let tail = &self.touched[singles..];
+        let labels = self.touched[..singles]
+            .iter()
+            .map(|&code| {
+                CategoryLabel::single_value(plan.attr, code, plan.values[code as usize].clone())
+            })
+            .chain((!tail.is_empty()).then(|| {
+                CategoryLabel::value_set(
+                    plan.attr,
+                    tail.iter().map(|&c| (c, plan.values[c as usize].clone())),
+                )
+            }));
+        let parts: Vec<Part> = labels
+            .zip(self.priced())
+            .map(|(label, (p_explore, size))| Part {
+                label,
+                size,
+                p_explore,
+            })
+            .collect();
+        // Reuse the count table as each code's part index.
+        let mut part_of = self.counts;
+        for (i, &code) in self.touched.iter().enumerate() {
+            part_of[code as usize] = i.min(singles) as u32;
+        }
+        let part_of = &part_of;
+        let rows = super::scatter(
+            parts.iter().map(|p| p.size),
+            cat.code_runs(tset).flat_map(|(codes, start, run)| {
+                run.iter().map(move |&row| {
+                    (
+                        row,
+                        part_of[codes[(row - start) as usize] as usize] as usize,
+                    )
+                })
+            }),
+        )?;
+        Some((
+            Partitioning {
+                attr: plan.attr,
+                parts,
+            },
+            rows,
+        ))
+    }
+}
+
+/// Feed the code of every row of `tset` to `f`, in `tset` order,
+/// until a budget trip stops the pass.
+fn for_each_code(cat: &CategoricalCol<'_>, tset: &[u32], mut f: impl FnMut(u32)) {
+    let mut pacer = super::GasPacer::new();
     for (codes, start, run) in cat.code_runs(tset) {
         for &row in run {
             if !pacer.checkpoint() {
-                return None;
+                return;
             }
-            f(row, codes[(row - start) as usize]);
+            f(codes[(row - start) as usize]);
         }
     }
-    Some(())
 }
 
 #[cfg(test)]
@@ -348,12 +327,48 @@ mod tests {
         CategoricalCol::of(rel, AttrId(0)).unwrap()
     }
 
+    /// `plan.split` materialized, with each part's rows cut out of the
+    /// scattered slice.
+    fn split(
+        plan: &CategoricalPlan,
+        cat: &CategoricalCol<'_>,
+        tset: &[u32],
+        threshold: Option<usize>,
+        top_k: usize,
+    ) -> (Partitioning, Vec<Vec<u32>>) {
+        let (p, rows) = plan
+            .split(cat, tset, threshold, top_k)
+            .materialize(cat, tset)
+            .unwrap();
+        let mut rest = rows.as_slice();
+        let parts = p
+            .parts
+            .iter()
+            .map(|part| {
+                let (head, tail) = rest.split_at(part.size);
+                rest = tail;
+                head.to_vec()
+            })
+            .collect();
+        (p, parts)
+    }
+
+    fn priced(
+        plan: &CategoricalPlan,
+        cat: &CategoricalCol<'_>,
+        tset: &[u32],
+        threshold: Option<usize>,
+        top_k: usize,
+    ) -> Vec<(f64, usize)> {
+        plan.split(cat, tset, threshold, top_k).priced()
+    }
+
     #[test]
     fn occurrence_order_puts_hot_values_first() {
         let (rel, stats) = setup();
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
-        let p = plan.split(&cat, &[0, 1, 2, 3, 4, 5]);
+        let (p, rows) = split(&plan, &cat, &[0, 1, 2, 3, 4, 5], None, 0);
         let labels: Vec<String> = p.parts.iter().map(|p| p.label.render(&rel)).collect();
         assert_eq!(
             labels,
@@ -363,10 +378,8 @@ mod tests {
                 "neighborhood: Seattle"
             ]
         );
-        // Tuple-sets keep table order.
-        assert_eq!(p.parts[0].tset, vec![2]);
-        assert_eq!(p.parts[1].tset, vec![1, 3]);
-        assert_eq!(p.parts[2].tset, vec![0, 4, 5]);
+        // Parts keep table order.
+        assert_eq!(rows, vec![vec![2], vec![1, 3], vec![0, 4, 5]]);
         assert_eq!(p.total_tuples(), 6);
         // Carried probabilities: occ Bellevue 3 / NAttr 3 = 1,
         // Redmond 1/3, Seattle 0.
@@ -381,7 +394,7 @@ mod tests {
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::Arbitrary);
         // Dictionary order = first-seen: Seattle, Redmond, Bellevue.
-        let p = plan.split(&cat, &[0, 1, 2, 3, 4, 5]);
+        let (p, _) = split(&plan, &cat, &[0, 1, 2, 3, 4, 5], None, 0);
         let labels: Vec<String> = p.parts.iter().map(|p| p.label.render(&rel)).collect();
         assert_eq!(
             labels,
@@ -399,9 +412,9 @@ mod tests {
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
         // Node containing only Seattle rows.
-        let p = plan.split(&cat, &[0, 4]);
+        let (p, rows) = split(&plan, &cat, &[0, 4], None, 0);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.parts[0].tset, vec![0, 4]);
+        assert_eq!(rows, vec![vec![0, 4]]);
     }
 
     #[test]
@@ -409,7 +422,7 @@ mod tests {
         let (rel, stats) = setup();
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
-        let p = plan.split(&cat, &[]);
+        let (p, _) = split(&plan, &cat, &[], None, 0);
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
     }
@@ -421,13 +434,13 @@ mod tests {
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
         // 3 distinct values; threshold 2 with top_k 1 → Bellevue stays
         // single, Redmond+Seattle pool.
-        let p = plan.split_grouped(&cat, &[0, 1, 2, 3, 4, 5], Some(2), 1);
+        let (p, rows) = split(&plan, &cat, &[0, 1, 2, 3, 4, 5], Some(2), 1);
         assert_eq!(p.len(), 2);
         assert_eq!(p.parts[0].label.render(&rel), "neighborhood: Bellevue");
         let tail = &p.parts[1];
         assert_eq!(tail.label.render(&rel), "neighborhood: Seattle, Redmond");
-        // Pooled rows are back in table order.
-        assert_eq!(tail.tset, vec![0, 1, 3, 4, 5]);
+        // The stable scatter keeps pooled rows in table order.
+        assert_eq!(rows[1], vec![0, 1, 3, 4, 5]);
         assert_eq!(p.total_tuples(), 6);
         // Tail probability is the occ-sum estimate: (1 + 0) / 3.
         assert_eq!(tail.p_explore, 1.0 / 3.0);
@@ -439,7 +452,7 @@ mod tests {
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
         // 3 distinct values ≤ threshold 3 → plain single-value split.
-        let p = plan.split_grouped(&cat, &[0, 1, 2, 3, 4, 5], Some(3), 1);
+        let (p, _) = split(&plan, &cat, &[0, 1, 2, 3, 4, 5], Some(3), 1);
         assert_eq!(p.len(), 3);
         assert!(p.parts.iter().all(|p| matches!(
             &p.label.kind,
@@ -452,9 +465,9 @@ mod tests {
         let (rel, stats) = setup();
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
-        let p = plan.split_grouped(&cat, &[0, 1, 2, 3, 4, 5], Some(1), 1);
-        for part in &p.parts {
-            for &r in &part.tset {
+        let (p, rows) = split(&plan, &cat, &[0, 1, 2, 3, 4, 5], Some(1), 1);
+        for (part, rows) in p.parts.iter().zip(&rows) {
+            for &r in rows {
                 assert!(
                     part.label.matches_row(&rel, r),
                     "{}",
@@ -470,15 +483,15 @@ mod tests {
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
         for (threshold, top_k) in [(None, 0), (Some(2), 1), (Some(1), 1), (Some(3), 1)] {
-            let full = plan.split_grouped(&cat, &[0, 1, 2, 3, 4, 5], threshold, top_k);
-            let priced = plan.priced_split(&cat, &[0, 1, 2, 3, 4, 5], threshold, top_k);
+            let (full, _) = split(&plan, &cat, &[0, 1, 2, 3, 4, 5], threshold, top_k);
+            let priced = priced(&plan, &cat, &[0, 1, 2, 3, 4, 5], threshold, top_k);
             assert_eq!(full.children_for_pricing(), priced, "{threshold:?}/{top_k}");
         }
         // Subsets too (empty categories dropped identically).
-        let full = plan.split(&cat, &[0, 4]);
+        let (full, _) = split(&plan, &cat, &[0, 4], None, 0);
         assert_eq!(
             full.children_for_pricing(),
-            plan.priced_split(&cat, &[0, 4], None, 0)
+            priced(&plan, &cat, &[0, 4], None, 0)
         );
     }
 
@@ -529,8 +542,8 @@ mod tests {
                 .filter(|&c| tset.iter().any(|&r| code_of(r) == c))
                 .collect();
             for (threshold, top_k) in [(None, 0), (Some(12), 5), (Some(500), 5), (Some(0), 1)] {
-                let full = plan.split_grouped(&cat, tset, threshold, top_k);
-                let priced = plan.priced_split(&cat, tset, threshold, top_k);
+                let (full, rows) = split(&plan, &cat, tset, threshold, top_k);
+                let priced = priced(&plan, &cat, tset, threshold, top_k);
                 assert_eq!(full.children_for_pricing(), priced, "{threshold:?}/{top_k}");
                 assert_eq!(full.total_tuples(), tset.len());
                 // Presentation order: single-value parts follow the
@@ -555,20 +568,15 @@ mod tests {
                 tail.sort_unstable();
                 want_tail.sort_unstable();
                 assert_eq!(tail, want_tail, "{threshold:?}/{top_k}");
-                // Within a part, rows keep tuple-set order (the pooled
-                // tail is restored to table order).
-                for part in &full.parts {
-                    let expected: Vec<u32> = if part.label.in_values().count() > 1 {
-                        let mut rows: Vec<u32> = part.tset.clone();
-                        rows.sort_unstable();
-                        rows
-                    } else {
-                        tset.iter()
-                            .copied()
-                            .filter(|&r| part.label.matches_row(&rel, r))
-                            .collect()
-                    };
-                    assert_eq!(part.tset, expected);
+                // Within a part, pooled tail included, rows keep the
+                // node's order.
+                for (part, rows) in full.parts.iter().zip(&rows) {
+                    let expected: Vec<u32> = tset
+                        .iter()
+                        .copied()
+                        .filter(|&r| part.label.matches_row(&rel, r))
+                        .collect();
+                    assert_eq!(rows, &expected);
                 }
             }
         }
@@ -591,7 +599,7 @@ mod tests {
         let cat = col(&rel);
         let plan = CategoricalPlan::build(&cat, &stats, ValueOrder::ByOccurrence);
         // Seattle has code 0, Redmond code 1: tie → Seattle first.
-        let p = plan.split(&cat, &[0, 1]);
+        let (p, _) = split(&plan, &cat, &[0, 1], None, 0);
         let labels: Vec<String> = p.parts.iter().map(|p| p.label.render(&rel)).collect();
         assert_eq!(labels[0], "neighborhood: Seattle");
     }

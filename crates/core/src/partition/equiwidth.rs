@@ -10,7 +10,8 @@ use qcat_sql::NumericRange;
 
 /// Split `tset` into equal-width buckets of `width`, aligned so bucket
 /// boundaries are multiples of `width` (the paper splits price at
-/// every multiple of 25000, square footage at every 500, …).
+/// every multiple of 25000, square footage at every 500, …), and
+/// scatter its rows into them (see `partition::scatter`).
 ///
 /// Bucket probabilities come from `probs` so downstream pricing and
 /// attachment can read them off the parts directly.
@@ -22,7 +23,7 @@ pub fn equiwidth_split(
     tset: &[u32],
     width: f64,
     probs: &ProbCache<'_>,
-) -> Option<Partitioning> {
+) -> Option<(Partitioning, Vec<u32>)> {
     assert!(width > 0.0 && width.is_finite(), "width must be positive");
     let column = relation.column(attr);
     let (vmin, vmax) = column.numeric_min_max(tset)?;
@@ -35,22 +36,24 @@ pub fn equiwidth_split(
     if n_buckets < 2 {
         return None;
     }
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_buckets];
-    for (chunk, start, run) in column.runs(tset) {
-        for &row in run {
-            let Some(v) = chunk.numeric((row - start) as usize) else {
-                continue; // non-numeric cell: cannot be bucketed
-            };
-            buckets[bucket_of(v)].push(row);
-        }
+    // Non-numeric cells cannot be bucketed and are skipped.
+    let bucketed = || {
+        column.runs(tset).flat_map(move |(chunk, start, run)| {
+            run.iter().filter_map(move |&row| {
+                Some((row, bucket_of(chunk.numeric((row - start) as usize)?)))
+            })
+        })
+    };
+    let mut sizes = vec![0usize; n_buckets];
+    for (_, bucket) in bucketed() {
+        sizes[bucket] += 1;
     }
-    let parts = buckets
-        .into_iter()
+    let rows = super::scatter(sizes.iter().copied(), bucketed())?;
+    let parts = sizes
+        .iter()
         .enumerate()
-        .filter_map(|(i, rows)| {
-            if rows.is_empty() {
-                return None;
-            }
+        .filter(|&(_, &size)| size > 0)
+        .map(|(i, &size)| {
             let lo = (first + i as f64) * width;
             let range = if i + 1 == n_buckets {
                 // Close the final bucket so vmax itself is covered.
@@ -58,14 +61,14 @@ pub fn equiwidth_split(
             } else {
                 NumericRange::half_open(lo, lo + width)
             };
-            Some(Part {
+            Part {
                 p_explore: probs.p_explore_range(attr, &range),
                 label: CategoryLabel::range(attr, range),
-                tset: rows,
-            })
+                size,
+            }
         })
         .collect();
-    Some(Partitioning { attr, parts })
+    Some((Partitioning { attr, parts }, rows))
 }
 
 #[cfg(test)]
@@ -96,7 +99,8 @@ mod tests {
         let rel = price_relation(&[210_000.0, 230_000.0, 226_000.0, 260_000.0]);
         let stats = empty_stats(&rel);
         let probs = ProbCache::new(&stats);
-        let p = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 25_000.0, &probs).unwrap();
+        let (p, rows) =
+            equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 25_000.0, &probs).unwrap();
         let labels: Vec<String> = p.parts.iter().map(|p| p.label.render(&rel)).collect();
         assert_eq!(
             labels,
@@ -106,9 +110,9 @@ mod tests {
                 "price: 250000 - 260000"
             ]
         );
-        assert_eq!(p.parts[0].tset, vec![0]);
-        assert_eq!(p.parts[1].tset, vec![1, 2]);
-        assert_eq!(p.parts[2].tset, vec![3]);
+        let sizes: Vec<usize> = p.parts.iter().map(|p| p.size).collect();
+        assert_eq!(sizes, vec![1, 2, 1]);
+        assert_eq!(rows, vec![0, 1, 2, 3]);
         // Empty workload → nobody drills in.
         assert!(p.parts.iter().all(|p| p.p_explore == 0.0));
     }
@@ -118,7 +122,7 @@ mod tests {
         let rel = price_relation(&[10.0, 990.0]); // width 100 → gap in the middle
         let stats = empty_stats(&rel);
         let probs = ProbCache::new(&stats);
-        let p = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 100.0, &probs).unwrap();
+        let (p, _) = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 100.0, &probs).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.total_tuples(), 2);
     }
@@ -143,7 +147,7 @@ mod tests {
         let rel = price_relation(&[-150.0, -20.0, 40.0]);
         let stats = empty_stats(&rel);
         let probs = ProbCache::new(&stats);
-        let p = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 100.0, &probs).unwrap();
+        let (p, _) = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 100.0, &probs).unwrap();
         let labels: Vec<String> = p.parts.iter().map(|p| p.label.render(&rel)).collect();
         assert_eq!(
             labels,
@@ -163,7 +167,7 @@ mod tests {
         let cfg = PreprocessConfig::new().with_interval(AttrId(0), 100.0);
         let stats = WorkloadStatistics::build(&log, &schema, &cfg);
         let probs = ProbCache::new(&stats);
-        let p = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 100.0, &probs).unwrap();
+        let (p, _) = equiwidth_split(&rel, AttrId(0), &rel.all_row_ids(), 100.0, &probs).unwrap();
         let est = probs.estimator();
         for part in &p.parts {
             assert_eq!(part.p_explore, est.p_explore(&part.label));
@@ -192,12 +196,15 @@ mod tests {
                 let stats = empty_stats(&rel);
                 let probs = ProbCache::new(&stats);
                 let tset = rel.all_row_ids();
-                if let Some(p) = equiwidth_split(&rel, AttrId(0), &tset, width, &probs) {
+                if let Some((p, rows)) = equiwidth_split(&rel, AttrId(0), &tset, width, &probs) {
                     prop_assert_eq!(p.total_tuples(), values.len());
                     let mut seen: Vec<u32> = Vec::new();
+                    let mut rest = rows.as_slice();
                     for part in &p.parts {
-                        prop_assert!(!part.tset.is_empty());
-                        for &r in &part.tset {
+                        prop_assert!(part.size > 0);
+                        let (head, tail) = rest.split_at(part.size);
+                        rest = tail;
+                        for &r in head {
                             prop_assert!(part.label.matches_row(&rel, r));
                             seen.push(r);
                         }

@@ -48,7 +48,7 @@ impl GasPacer {
     }
 }
 
-/// One would-be child of a partitioning: its label, tuple-set, and the
+/// One would-be child of a partitioning: its label, its size, and the
 /// exploration probability `P(C)` the partitioner already derived from
 /// workload statistics. Carrying `p_explore` here is what lets pricing
 /// (Equation 1) and tree attachment consume the partitioner's work
@@ -57,17 +57,18 @@ impl GasPacer {
 pub struct Part {
     /// The category label.
     pub label: CategoryLabel,
-    /// Row ids of the parent's tuples that fall under the label.
-    pub tset: Vec<u32>,
+    /// Number of the node's rows that fall under the label.
+    pub size: usize,
     /// Estimated exploration probability `P(C)` for the label,
     /// identical to what [`crate::probability::ProbabilityEstimator`]
     /// would return for it.
     pub p_explore: f64,
 }
 
-/// A proposed partitioning of one node's tuple-set: the would-be
-/// children in presentation order. Every row of the node appears in
-/// exactly one part; parts are non-empty.
+/// A proposed partitioning of one node's rows: the would-be children
+/// in presentation order. Every row of the node falls in exactly one
+/// part; parts are non-empty. The rows themselves travel separately,
+/// regrouped part by part by `scatter`.
 #[derive(Debug, Clone)]
 pub struct Partitioning {
     /// The categorizing attribute.
@@ -89,15 +90,67 @@ impl Partitioning {
 
     /// Total tuples across parts (must equal the node's tuple count).
     pub fn total_tuples(&self) -> usize {
-        self.parts.iter().map(|p| p.tset.len()).sum()
+        self.parts.iter().map(|p| p.size).sum()
     }
 
     /// `(p_explore, size)` pairs in part order — the exact shape
     /// Equation 1 pricing consumes.
     pub fn children_for_pricing(&self) -> Vec<(f64, usize)> {
-        self.parts
-            .iter()
-            .map(|p| (p.p_explore, p.tset.len()))
-            .collect()
+        self.parts.iter().map(|p| (p.p_explore, p.size)).collect()
+    }
+}
+
+/// Stable counting scatter, the one materialization routine of every
+/// partitioner: a node's rows regrouped part by part, parts in index
+/// order, each part keeping the node's row order. `rows` yields every
+/// row of the node with its part index, in the node's order; part `k`
+/// holds `sizes[k]` rows. [`crate::CategoryTree::attach`] writes the
+/// result over the node's slice of the row permutation, so a leaf of
+/// a table-ordered root stays ascending.
+///
+/// `None` when the rows disagree with the sizes or a budget trip cut
+/// the pass short; either way the level it belongs to can no longer
+/// be charged, so nothing would be attached.
+pub(crate) fn scatter(
+    sizes: impl IntoIterator<Item = usize>,
+    rows: impl IntoIterator<Item = (u32, usize)>,
+) -> Option<Vec<u32>> {
+    let mut next = Vec::new();
+    let mut ends = Vec::new();
+    let mut total = 0;
+    for size in sizes {
+        next.push(total);
+        total += size;
+        ends.push(total);
+    }
+    let mut out = vec![0u32; total];
+    let mut pacer = GasPacer::new();
+    for (row, part) in rows {
+        if !pacer.checkpoint() {
+            return None;
+        }
+        let at = next.get_mut(part)?;
+        *out.get_mut(*at)? = row;
+        *at += 1;
+    }
+    (next == ends).then_some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scatter_is_stable_and_checks_sizes() {
+        let rows = [(3, 1), (5, 0), (7, 1), (9, 2), (11, 0)];
+        assert_eq!(scatter([2, 2, 1], rows), Some(vec![5, 11, 3, 7, 9]));
+        // Empty parts take no room.
+        let shifted = rows.map(|(r, p)| (r, p + usize::from(p > 0)));
+        assert_eq!(scatter([2, 0, 2, 1], shifted), Some(vec![5, 11, 3, 7, 9]));
+        // Sizes that disagree with the rows are refused, not truncated.
+        assert_eq!(scatter([2, 1, 1], rows), None);
+        assert_eq!(scatter([2, 3, 1], rows), None);
+        assert_eq!(scatter([2, 2], rows), None);
+        assert_eq!(scatter([0usize; 0], []), Some(vec![]));
     }
 }

@@ -15,11 +15,9 @@
 //! counting pass per node bins its values between the candidates —
 //! with grid arithmetic, no sort — and the greedy selection, the
 //! `Auto` prefix search and pricing read those counts in `O(1)`.
-//! Split selection and pricing are decoupled:
-//! [`NumericPlan::priced_split_in_window`] runs the same selection but
-//! returns only `(P(C), size)` pairs, so the Figure-6 loop can price
-//! every candidate attribute without materializing losing
-//! partitionings.
+//! The Figure-6 loop prices every candidate attribute from that pass
+//! ([`NumSplit::parts`]) and materializes only the winner's
+//! ([`NumSplit::materialize`]).
 
 use crate::config::{BucketCount, CategorizeConfig};
 use crate::cost::one_level_cost_all;
@@ -164,6 +162,7 @@ struct NodeCounts {
 /// The outcome of splitpoint selection for one node: the accepted
 /// splits (sorted ascending) with their populations below, the
 /// effective window, and the node's value count.
+#[derive(Debug)]
 struct ChosenSplits {
     splits: Vec<f64>,
     below: Vec<usize>,
@@ -179,15 +178,66 @@ impl ChosenSplits {
     }
 }
 
-/// The priced numeric split of one node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PricedSplit {
+/// One node's numeric split, read off its counting pass.
+#[derive(Debug)]
+pub struct NumSplit<'p> {
+    plan: &'p NumericPlan,
     /// The node holds at least two distinct values (its data window
     /// is not degenerate).
     pub spread: bool,
-    /// `(P(C), size)` per non-empty bucket; `None` when no split is
-    /// possible.
-    pub children: Option<Vec<(f64, usize)>>,
+    /// The selected splits; `None` when no split is possible.
+    chosen: Option<ChosenSplits>,
+}
+
+impl NumSplit<'_> {
+    /// The non-empty buckets, labeled, in ascending value order;
+    /// `None` when no split is possible. Range labels own no heap, so
+    /// pricing reads sizes and `P(C)` off the same parts the tree gets.
+    pub fn parts<'s>(
+        &'s self,
+        probs: &'s ProbCache<'s>,
+    ) -> Option<impl Iterator<Item = Part> + 's> {
+        let attr = self.plan.attr;
+        let buckets = self.chosen.as_ref()?.buckets();
+        Some(
+            buckets
+                .filter(|&(_, size)| size > 0)
+                .map(move |(range, size)| Part {
+                    p_explore: probs.p_explore_range(attr, &range),
+                    label: CategoryLabel::range(attr, range),
+                    size,
+                }),
+        )
+    }
+
+    /// The [`NumSplit::parts`] plus `tset` — the rows this split
+    /// counted — scattered into its buckets (see `partition::scatter`).
+    /// `None` when no split is possible or a budget trip cut the
+    /// scatter short.
+    pub fn materialize(
+        &self,
+        relation: &Relation,
+        tset: &[u32],
+        probs: &ProbCache<'_>,
+    ) -> Option<(Partitioning, Vec<u32>)> {
+        let chosen = self.chosen.as_ref()?;
+        let splits = &chosen.splits;
+        // Empty buckets get no part but keep their (empty) place in
+        // the scatter, so a row's bucket index is its part slot.
+        let rows = super::scatter(
+            bucket_sizes(&chosen.below, chosen.n),
+            (relation.column(self.plan.attr).runs(tset)).flat_map(|(chunk, start, run)| {
+                run.iter().filter_map(move |&row| {
+                    let v = chunk.numeric((row - start) as usize)?;
+                    // Index of the first split > v gives the bucket.
+                    Some((row, splits.partition_point(|&s| s <= v)))
+                })
+            }),
+        )?;
+        let attr = self.plan.attr;
+        let parts = self.parts(probs)?.collect();
+        Some((Partitioning { attr, parts }, rows))
+    }
 }
 
 impl NumericPlan {
@@ -222,10 +272,13 @@ impl NumericPlan {
         self.attr
     }
 
-    /// Partition one node's tuple-set.
-    ///
-    /// Returns `None` when no split is possible (fewer than two
-    /// distinct values, or no necessary splitpoint).
+    /// Split one node's rows: count them against the plan's edges,
+    /// then select the necessary splitpoints. `window` is the value
+    /// window the paper takes from the user query's range condition
+    /// when it has one (see [`query_window`]); it is widened if needed
+    /// so every tuple stays covered, and only splitpoints strictly
+    /// inside it are considered. Without it the node's own data
+    /// window applies.
     pub fn split(
         &self,
         relation: &Relation,
@@ -233,61 +286,19 @@ impl NumericPlan {
         config: &CategorizeConfig,
         probs: &ProbCache<'_>,
         p_showtuples: f64,
-    ) -> Option<Partitioning> {
-        self.split_in_window(relation, tset, config, probs, p_showtuples, None)
-    }
-
-    /// Like [`NumericPlan::split`], but with an explicit value window
-    /// — the paper takes `(vmin, vmax)` from the user query's range
-    /// condition when it has one (see [`query_window`]). The window is
-    /// widened if needed so every tuple stays covered, and only
-    /// splitpoints strictly inside the given window are considered.
-    pub fn split_in_window(
-        &self,
-        relation: &Relation,
-        tset: &[u32],
-        config: &CategorizeConfig,
-        probs: &ProbCache<'_>,
-        p_showtuples: f64,
         window: Option<(f64, f64)>,
-    ) -> Option<Partitioning> {
-        let counts = self.count(relation, tset)?;
-        let chosen = self.choose_splits(&counts, config, probs, p_showtuples, window)?;
-        Some(build_buckets(relation, self.attr, tset, &chosen, probs))
-    }
-
-    /// Price the split without materializing it: run the same
-    /// splitpoint selection as [`NumericPlan::split_in_window`] and
-    /// return the `(P(C), size)` pairs its buckets would have, from
-    /// the node's counting pass. Bucket membership boundaries are
-    /// shared with the private `build_buckets`, so sizes agree exactly.
-    pub fn priced_split_in_window(
-        &self,
-        relation: &Relation,
-        tset: &[u32],
-        config: &CategorizeConfig,
-        probs: &ProbCache<'_>,
-        p_showtuples: f64,
-        window: Option<(f64, f64)>,
-    ) -> PricedSplit {
+    ) -> NumSplit<'_> {
         let Some(counts) = self.count(relation, tset) else {
-            return PricedSplit {
+            return NumSplit {
+                plan: self,
                 spread: false,
-                children: None,
+                chosen: None,
             };
         };
-        let children = self
-            .choose_splits(&counts, config, probs, p_showtuples, window)
-            .map(|chosen| {
-                chosen
-                    .buckets()
-                    .filter(|&(_, count)| count > 0)
-                    .map(|(range, count)| (probs.p_explore_range(self.attr, &range), count))
-                    .collect()
-            });
-        PricedSplit {
+        NumSplit {
+            plan: self,
             spread: counts.dmin < counts.dmax,
-            children,
+            chosen: self.choose_splits(&counts, config, probs, p_showtuples, window),
         }
     }
 
@@ -364,7 +375,7 @@ impl NumericPlan {
         })
     }
 
-    /// Shared front half of splitting and pricing: window resolution,
+    /// The selection half of [`NumericPlan::split`]: window resolution,
     /// greedy necessary-splitpoint selection, and (for `Auto` bucket
     /// counts) the best-prefix cost search — all on the node's counts.
     fn choose_splits(
@@ -467,6 +478,30 @@ impl NumericPlan {
     }
 }
 
+/// Fallback single-bucket partitioning for a numeric attribute with no
+/// usable splitpoint: the node gets one child covering its full
+/// window, keeping it eligible for deeper levels (Figure 6 always
+/// creates the level's categories). The rows stay as they are.
+pub(crate) fn single_bucket(
+    relation: &Relation,
+    attr: AttrId,
+    tset: &[u32],
+    probs: &ProbCache<'_>,
+) -> (Partitioning, Vec<u32>) {
+    let (lo, hi) = relation
+        .column(attr)
+        .numeric_min_max(tset)
+        .unwrap_or((0.0, 0.0));
+    let range = NumericRange::closed(lo, hi);
+    let part = Part {
+        p_explore: probs.p_explore_range(attr, &range),
+        label: CategoryLabel::range(attr, range),
+        size: tset.len(),
+    };
+    let parts = vec![part];
+    (Partitioning { attr, parts }, tset.to_vec())
+}
+
 /// For `Auto` bucket counts: evaluate every prefix of the accepted
 /// splits with the one-level cost model and keep the cheapest.
 #[allow(clippy::too_many_arguments)]
@@ -524,49 +559,6 @@ fn bucket_ranges<'a>(
     })
 }
 
-/// Materialize the bucket partitioning, preserving tuple-set order
-/// within buckets. The counting pass already sized every bucket.
-fn build_buckets(
-    relation: &Relation,
-    attr: AttrId,
-    tset: &[u32],
-    chosen: &ChosenSplits,
-    probs: &ProbCache<'_>,
-) -> Partitioning {
-    let column = relation.column(attr);
-    let splits = &chosen.splits;
-    let mut buckets: Vec<Vec<u32>> = bucket_sizes(&chosen.below, chosen.n)
-        .map(Vec::with_capacity)
-        .collect();
-    // A budget trip abandons bucketing; the partial partitioning dies
-    // with the discarded level (see `GasPacer`).
-    let mut pacer = super::GasPacer::new();
-    'runs: for (chunk, start, run) in column.runs(tset) {
-        for &row in run {
-            if !pacer.checkpoint() {
-                break 'runs;
-            }
-            let Some(v) = chunk.numeric((row - start) as usize) else {
-                continue; // non-numeric cell: cannot be bucketed
-            };
-            // Index of the first split > v gives the bucket.
-            let idx = splits.partition_point(|&s| s <= v);
-            buckets[idx].push(row);
-        }
-    }
-    let parts = bucket_ranges(splits, chosen.vmin, chosen.vmax)
-        .zip(buckets)
-        .filter_map(|(range, rows)| {
-            (!rows.is_empty()).then(|| Part {
-                p_explore: probs.p_explore_range(attr, &range),
-                label: CategoryLabel::range(attr, range),
-                tset: rows,
-            })
-        })
-        .collect();
-    Partitioning { attr, parts }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,6 +586,33 @@ mod tests {
         rel.all_row_ids()
     }
 
+    /// `plan.split` materialized, with each part's rows cut out of the
+    /// scattered slice.
+    fn split(
+        plan: &NumericPlan,
+        rel: &Relation,
+        tset: &[u32],
+        config: &CategorizeConfig,
+        probs: &ProbCache<'_>,
+        pw: f64,
+        window: Option<(f64, f64)>,
+    ) -> Option<(Partitioning, Vec<Vec<u32>>)> {
+        let (p, rows) = plan
+            .split(rel, tset, config, probs, pw, window)
+            .materialize(rel, tset, probs)?;
+        let mut rest = rows.as_slice();
+        let parts = p
+            .parts
+            .iter()
+            .map(|part| {
+                let (head, tail) = rest.split_at(part.size);
+                rest = tail;
+                head.to_vec()
+            })
+            .collect();
+        Some((p, parts))
+    }
+
     #[test]
     fn example_5_1_selection() {
         // Goodness: 5000 > 8000 > 2000, as in Figure 5(b).
@@ -617,9 +636,7 @@ mod tests {
         let plan = NumericPlan::build(&stats, AttrId(0));
         // m=3 → 2 splits: 5000 (goodness 13) and 8000 (goodness 10).
         let config = CategorizeConfig::default().with_bucket_count(BucketCount::Fixed(3));
-        let p = plan
-            .split(&rel, &all_rows(&rel), &config, &probs, 0.5)
-            .unwrap();
+        let (p, _) = split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.5, None).unwrap();
         assert_eq!(p.len(), 3);
         let labels: Vec<String> = p.parts.iter().map(|p| p.label.render(&rel)).collect();
         assert_eq!(labels[0], "price: 0 - 5000");
@@ -654,9 +671,7 @@ mod tests {
         let config = CategorizeConfig::default()
             .with_bucket_count(BucketCount::Fixed(2))
             .with_min_bucket_size(5);
-        let p = plan
-            .split(&rel, &all_rows(&rel), &config, &probs, 0.5)
-            .unwrap();
+        let (p, _) = split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.5, None).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.parts[0].label.render(&rel), "price: 0 - 1000");
     }
@@ -668,9 +683,7 @@ mod tests {
         let probs = ProbCache::new(&stats);
         let plan = NumericPlan::build(&stats, AttrId(0));
         let config = CategorizeConfig::default();
-        assert!(plan
-            .split(&rel, &all_rows(&rel), &config, &probs, 0.5)
-            .is_none());
+        assert!(split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.5, None).is_none());
     }
 
     #[test]
@@ -680,16 +693,10 @@ mod tests {
         let probs = ProbCache::new(&stats);
         let plan = NumericPlan::build(&stats, AttrId(0));
         let config = CategorizeConfig::default();
-        assert!(plan
-            .split(&rel, &all_rows(&rel), &config, &probs, 0.5)
-            .is_none());
-        assert_eq!(
-            plan.priced_split_in_window(&rel, &all_rows(&rel), &config, &probs, 0.5, None),
-            PricedSplit {
-                spread: false,
-                children: None
-            }
-        );
+        assert!(split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.5, None).is_none());
+        let priced = plan.split(&rel, &all_rows(&rel), &config, &probs, 0.5, None);
+        assert!(!priced.spread);
+        assert!(priced.parts(&probs).is_none());
     }
 
     #[test]
@@ -706,14 +713,10 @@ mod tests {
         let probs = ProbCache::new(&stats);
         let plan = NumericPlan::build(&stats, AttrId(0));
         let config = CategorizeConfig::default().with_bucket_count(BucketCount::Fixed(3));
-        let p = plan
-            .split(&rel, &all_rows(&rel), &config, &probs, 0.5)
-            .unwrap();
+        let (p, rows) = split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.5, None).unwrap();
         // Splits at 1000 and 2000. Bucket membership: [0,1000) → rows
         // 0,1; [1000,2000) → 2,3; [2000,3000] → 4,5 (vmax closed).
-        assert_eq!(p.parts[0].tset, vec![0, 1]);
-        assert_eq!(p.parts[1].tset, vec![2, 3]);
-        assert_eq!(p.parts[2].tset, vec![4, 5]);
+        assert_eq!(rows, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
         // Carried P(C) matches the estimator for each bucket label.
         let est = probs.estimator();
         for part in &p.parts {
@@ -738,13 +741,16 @@ mod tests {
             CategorizeConfig::default().with_bucket_count(BucketCount::Fixed(3)),
             CategorizeConfig::default().with_bucket_count(BucketCount::Auto { max: 6 }),
         ] {
-            let full = plan
-                .split_in_window(&rel, &all_rows(&rel), &config, &probs, 0.2, None)
-                .unwrap();
-            let priced =
-                plan.priced_split_in_window(&rel, &all_rows(&rel), &config, &probs, 0.2, None);
+            let (full, _) =
+                split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.2, None).unwrap();
+            let priced = plan.split(&rel, &all_rows(&rel), &config, &probs, 0.2, None);
             assert!(priced.spread);
-            assert_eq!(Some(full.children_for_pricing()), priced.children);
+            assert_eq!(
+                Some(full.children_for_pricing()),
+                priced
+                    .parts(&probs)
+                    .map(|parts| parts.map(|p| (p.p_explore, p.size)).collect())
+            );
         }
     }
 
@@ -764,9 +770,7 @@ mod tests {
         let probs = ProbCache::new(&stats);
         let plan = NumericPlan::build(&stats, AttrId(0));
         let config = CategorizeConfig::default().with_bucket_count(BucketCount::Auto { max: 6 });
-        let p = plan
-            .split(&rel, &all_rows(&rel), &config, &probs, 0.2)
-            .unwrap();
+        let (p, _) = split(&plan, &rel, &all_rows(&rel), &config, &probs, 0.2, None).unwrap();
         // The plan must at least keep the dominant 1000 split and stay
         // within the Auto cap.
         assert!(p.len() >= 2 && p.len() <= 6);
@@ -930,26 +934,27 @@ mod tests {
                 let label = format!("{case} {bucket_count:?} min {min_bucket}");
                 let reference =
                     sorted_reference(stats, rel, attr, tset, &config, &probs, 0.3, window);
-                let priced = plan.priced_split_in_window(rel, tset, &config, &probs, 0.3, window);
-                let split = plan.split_in_window(rel, tset, &config, &probs, 0.3, window);
+                let priced = plan.split(rel, tset, &config, &probs, 0.3, window);
+                let split = split(&plan, rel, tset, &config, &probs, 0.3, window);
                 let spread = rel
                     .column(attr)
                     .numeric_min_max(tset)
                     .is_some_and(|(lo, hi)| lo < hi);
                 assert_eq!(priced.spread, spread, "{label}: spread");
+                let priced: Option<Vec<(f64, usize)>> = priced
+                    .parts(&probs)
+                    .map(|parts| parts.map(|p| (p.p_explore, p.size)).collect());
                 let Some((splits, vmin, vmax, children)) = reference else {
-                    assert_eq!(priced.children, None, "{label}: priced");
+                    assert_eq!(priced, None, "{label}: priced");
                     assert!(split.is_none(), "{label}: split");
                     continue;
                 };
                 let bits = |c: &[(f64, usize)]| -> Vec<(u64, usize)> {
                     c.iter().map(|&(p, n)| (p.to_bits(), n)).collect()
                 };
-                let priced = priced
-                    .children
-                    .expect("reference split a node the plan did not");
+                let priced = priced.expect("reference split a node the plan did not");
                 assert_eq!(bits(&priced), bits(&children), "{label}: priced children");
-                let split = split.expect("reference split a node the plan did not");
+                let (split, rows) = split.expect("reference split a node the plan did not");
                 assert_eq!(
                     bits(&split.children_for_pricing()),
                     bits(&children),
@@ -975,11 +980,15 @@ mod tests {
                         "{label}: bucket ranges"
                     );
                 }
-                // Every row lands in the bucket its label admits.
-                for part in &split.parts {
-                    for &r in &part.tset {
-                        assert!(part.label.matches_row(rel, r), "{label}: row {r}");
-                    }
+                // Every row lands in the bucket its label admits, in
+                // the node's order.
+                for (part, rows) in split.parts.iter().zip(&rows) {
+                    let want: Vec<u32> = tset
+                        .iter()
+                        .copied()
+                        .filter(|&r| part.label.matches_row(rel, r))
+                        .collect();
+                    assert_eq!(rows, &want, "{label}: rows of {part:?}");
                 }
                 assert_eq!(split.total_tuples(), tset.len(), "{label}: rows kept");
                 split_cases += 1;

@@ -86,10 +86,10 @@ impl<'a> WorkloadRanker<'a> {
     }
 
     /// Rank the tuples of one category in place-independent form: the
-    /// node's `tset` reordered hot-first. Combine with
+    /// node's tuples reordered hot-first. Combine with
     /// [`crate::render_tree`]-style UIs to present leaves ranked.
     pub fn rank_category(&self, tree: &CategoryTree, node: NodeId) -> Vec<u32> {
-        self.rank(tree.relation(), &tree.node(node).tset)
+        self.rank(tree.relation(), tree.tuples(node))
     }
 }
 

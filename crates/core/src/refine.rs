@@ -224,7 +224,7 @@ mod tests {
             let refined = refine_query(&tree, id, Some(&q), "homes");
             let selected = execute(&rel, &refined, &ExecOptions::default()).unwrap();
             let mut got = selected.rows().to_vec();
-            let mut want = tree.node(id).tset.clone();
+            let mut want = tree.tuples(id).to_vec();
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "node {id}");
@@ -241,7 +241,7 @@ mod tests {
             let normalized = qcat_sql::normalize::normalize(&ast, rel.schema()).unwrap();
             let selected = execute(&rel, &normalized, &ExecOptions::default()).unwrap();
             let mut got = selected.rows().to_vec();
-            let mut want = tree.node(id).tset.clone();
+            let mut want = tree.tuples(id).to_vec();
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "node {id}: {sql}");

@@ -64,8 +64,8 @@ mod tests {
         let label_b = col.label_of_value("b").unwrap();
         let mut t = CategoryTree::new(rel, vec![0, 1, 2]);
         t.push_level(AttrId(0));
-        t.add_child(NodeId::ROOT, label_a, vec![0, 1], 0.75);
-        t.add_child(NodeId::ROOT, label_b, vec![2], 0.25);
+        t.add_child(NodeId::ROOT, label_a, &[0, 1], 0.75);
+        t.add_child(NodeId::ROOT, label_b, &[2], 0.25);
         t.set_p_showtuples(NodeId::ROOT, 0.3);
         t
     }

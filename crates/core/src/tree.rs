@@ -1,7 +1,9 @@
 //! The category tree (paper Section 3.1).
 //!
-//! An arena of nodes rooted at the implicit "ALL" node. Each node
-//! carries its label, its tuple-set as row ids into the base relation,
+//! An arena of nodes rooted at the implicit "ALL" node over one
+//! permutation of the result's row ids. Children partition their
+//! parent's tuple-set, so every node's tuple-set is one contiguous
+//! interval of that permutation: a node carries its label, its range,
 //! and the two workload-derived probabilities the cost model needs:
 //! `P(C)` (exploration probability, fixed at creation) and `Pw(C)`
 //! (SHOWTUPLES probability, fixed when the node's children are
@@ -9,8 +11,10 @@
 //! leaves).
 
 use crate::label::CategoryLabel;
+use crate::partition::Partitioning;
 use qcat_data::{AttrId, Relation};
 use std::fmt;
+use std::ops::Range;
 
 /// Index of a node in its [`CategoryTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,8 +46,10 @@ pub struct Node {
     pub parent: Option<NodeId>,
     /// Children in presentation order (the order the user examines).
     pub children: Vec<NodeId>,
-    /// `tset(C)`: row ids of the base relation, in table order.
-    pub tset: Vec<u32>,
+    /// The node's interval of the tree's row permutation: `tset(C)`
+    /// is [`CategoryTree::tuples`]. A leaf's rows are in table order;
+    /// an internal node's are grouped by child.
+    pub range: Range<u32>,
     /// Depth: root is level 0, its categories level 1, …
     pub level: usize,
     /// `P(C)`: probability the user explores this node upon examining
@@ -62,7 +68,7 @@ impl Node {
 
     /// `|tset(C)|`.
     pub fn tuple_count(&self) -> usize {
-        self.tset.len()
+        self.range.len()
     }
 }
 
@@ -152,6 +158,8 @@ pub struct TreeSummary {
 #[derive(Debug, Clone)]
 pub struct CategoryTree {
     relation: Relation,
+    /// The row permutation every node's range indexes.
+    rows: Vec<u32>,
     nodes: Vec<Node>,
     /// `level_attrs[l]` is the categorizing attribute of level `l+1`
     /// (the attribute whose values partition level-`l` nodes).
@@ -163,22 +171,35 @@ pub struct CategoryTree {
 }
 
 impl CategoryTree {
-    /// A tree containing only the root ("ALL") node over `root_tset`.
-    pub fn new(relation: Relation, root_tset: Vec<u32>) -> Self {
+    /// A tree containing only the root ("ALL") node over `rows`, put
+    /// in table order once if they arrived in another (`ORDER BY`)
+    /// order.
+    pub fn new(relation: Relation, mut rows: Vec<u32>) -> Self {
+        if !rows.is_sorted() {
+            rows.sort_unstable();
+        }
         CategoryTree {
             relation,
             nodes: vec![Node {
                 label: None,
                 parent: None,
                 children: Vec::new(),
-                tset: root_tset,
+                range: 0..rows.len() as u32,
                 level: 0,
                 p_explore: 1.0,
                 p_showtuples: 1.0,
             }],
+            rows,
             level_attrs: Vec::new(),
             degraded: None,
         }
+    }
+
+    /// `tset(C)` of `id`: its rows, in table order for a leaf and
+    /// grouped by child for an internal node.
+    pub fn tuples(&self, id: NodeId) -> &[u32] {
+        let range = &self.node(id).range;
+        &self.rows[range.start as usize..range.end as usize]
     }
 
     /// Why this tree is a best-effort prefix, or `None` for a full
@@ -209,7 +230,7 @@ impl CategoryTree {
     }
 
     /// Mutable node access that bypasses every construction-time
-    /// invariant (probability clamping, tset/label consistency). This
+    /// invariant (probability clamping, range/label consistency). This
     /// exists so auditors and tests can *seed* violations and verify
     /// they are detected — production code must build trees through
     /// [`CategoryTree::add_child`] and friends instead.
@@ -227,8 +248,9 @@ impl CategoryTree {
         self.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 
-    /// Estimated owned heap footprint in bytes: the node arena, every
-    /// node's tuple-set and child list, and label entries (each `In`
+    /// Estimated owned heap footprint in bytes: the node arena, the
+    /// row permutation, every node's child list, and label entries
+    /// (each `In`
     /// entry holds a code plus an interned `Arc<str>` handle; the
     /// string bytes themselves are shared with the relation's
     /// dictionary and not counted). The relation handle is shared and
@@ -237,9 +259,9 @@ impl CategoryTree {
     pub fn heap_bytes(&self) -> usize {
         use crate::label::LabelKind;
         let mut bytes = self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.rows.capacity() * std::mem::size_of::<u32>()
             + self.level_attrs.capacity() * std::mem::size_of::<AttrId>();
         for node in &self.nodes {
-            bytes += node.tset.capacity() * std::mem::size_of::<u32>();
             bytes += node.children.capacity() * std::mem::size_of::<NodeId>();
             if let Some(label) = &node.label {
                 bytes += match &label.kind {
@@ -291,7 +313,21 @@ impl CategoryTree {
         self.level_attrs.push(attr);
     }
 
-    /// Attach a child category under `parent`.
+    /// Attach `partitioning` under `parent`: `rows` is the parent's
+    /// rows regrouped part by part (`partition::scatter`),
+    /// and part `k` becomes a child over its next `size` rows. This is
+    /// how every categorizer grows a level.
+    pub fn attach(&mut self, parent: NodeId, partitioning: Partitioning, rows: &[u32]) {
+        let mut rest = rows;
+        for part in partitioning.parts {
+            let (head, tail) = rest.split_at(part.size);
+            self.add_child(parent, part.label, head, part.p_explore);
+            rest = tail;
+        }
+    }
+
+    /// Attach a child category under `parent` over `rows`, which are
+    /// written over the parent's range just past its last child's.
     ///
     /// The child's level must be the most recently pushed level, its
     /// label's attribute must be that level's categorizing attribute,
@@ -300,25 +336,32 @@ impl CategoryTree {
         &mut self,
         parent: NodeId,
         label: CategoryLabel,
-        tset: Vec<u32>,
+        rows: &[u32],
         p_explore: f64,
     ) -> NodeId {
-        let level = self.node(parent).level + 1;
+        let node = self.node(parent);
+        let level = node.level + 1;
         assert_eq!(
             Some(label.attr),
             self.level_attr(level),
             "child label attribute must match the level's categorizing attribute"
         );
-        debug_assert!(
-            tset.len() <= self.node(parent).tset.len(),
-            "child tset cannot exceed the parent's"
+        let start = node
+            .children
+            .last()
+            .map_or(node.range.start, |&c| self.node(c).range.end);
+        let range = start..start + rows.len() as u32;
+        assert!(
+            range.end <= node.range.end,
+            "children cannot hold more rows than their parent"
         );
+        self.rows[range.start as usize..range.end as usize].copy_from_slice(rows);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             label: Some(label),
             parent: Some(parent),
             children: Vec::new(),
-            tset,
+            range,
             level,
             p_explore: p_explore.clamp(0.0, 1.0),
             p_showtuples: 1.0,
@@ -431,33 +474,31 @@ impl CategoryTree {
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
-            // Children partition the parent's tset.
-            if !node.children.is_empty() {
-                let mut union: Vec<u32> = Vec::new();
-                for &c in &node.children {
-                    let child = self.node(c);
-                    if child.parent != Some(id) {
-                        return Err(format!("{c} has wrong parent"));
-                    }
-                    if child.level != node.level + 1 {
-                        return Err(format!("{c} has wrong level"));
-                    }
-                    union.extend_from_slice(&child.tset);
+            // Children partition the parent's tset: sorted by start,
+            // their ranges tile the parent's range.
+            let mut ranges: Vec<&Range<u32>> = Vec::with_capacity(node.children.len());
+            for &c in &node.children {
+                let child = self.node(c);
+                if child.parent != Some(id) {
+                    return Err(format!("{c} has wrong parent"));
                 }
-                let mut parent_sorted = node.tset.clone();
-                parent_sorted.sort_unstable();
-                union.sort_unstable();
-                let dup = union.windows(2).any(|w| w[0] == w[1]);
-                if dup {
-                    return Err(format!("children of {id} overlap"));
+                if child.level != node.level + 1 {
+                    return Err(format!("{c} has wrong level"));
                 }
-                if union != parent_sorted {
-                    return Err(format!(
-                        "children of {id} do not cover its tset ({} vs {})",
-                        union.len(),
-                        parent_sorted.len()
-                    ));
-                }
+                ranges.push(&child.range);
+            }
+            ranges.sort_by_key(|r| r.start);
+            let tiled = ranges.iter().try_fold(node.range.start, |at, r| {
+                (r.start == at && r.start <= r.end).then_some(r.end)
+            });
+            if !node.is_leaf() && tiled != Some(node.range.end) {
+                return Err(format!(
+                    "children of {id} overlap or do not cover its range {:?}",
+                    node.range
+                ));
+            }
+            if node.is_leaf() && !self.tuples(id).is_sorted_by(|a, b| a < b) {
+                return Err(format!("leaf {id} is not in table order"));
             }
             // Labels match levels.
             match (&node.label, node.level) {
@@ -467,7 +508,7 @@ impl CategoryTree {
                         return Err(format!("{id} label attr mismatches level {lv}"));
                     }
                     // Every tuple in tset satisfies the label.
-                    for &row in &node.tset {
+                    for &row in self.tuples(id) {
                         if !l.matches_row(&self.relation, row) {
                             return Err(format!("{id} contains row {row} violating its label"));
                         }
@@ -529,20 +570,20 @@ mod tests {
         );
         let mut t = CategoryTree::new(rel, vec![0, 1, 2, 3]);
         t.push_level(AttrId(0));
-        let r = t.add_child(NodeId::ROOT, red, vec![0, 3], 0.6);
-        t.add_child(NodeId::ROOT, bel, vec![1], 0.3);
-        t.add_child(NodeId::ROOT, sea, vec![2], 0.1);
+        let r = t.add_child(NodeId::ROOT, red, &[0, 3], 0.6);
+        t.add_child(NodeId::ROOT, bel, &[1], 0.3);
+        t.add_child(NodeId::ROOT, sea, &[2], 0.1);
         t.push_level(AttrId(1));
         t.add_child(
             r,
             CategoryLabel::range(AttrId(1), NumericRange::half_open(200_000.0, 215_000.0)),
-            vec![0],
+            &[0],
             0.5,
         );
         t.add_child(
             r,
             CategoryLabel::range(AttrId(1), NumericRange::closed(215_000.0, 230_000.0)),
-            vec![3],
+            &[3],
             0.5,
         );
         t.set_p_showtuples(NodeId::ROOT, 0.2);
@@ -590,10 +631,10 @@ mod tests {
         // root, Redmond, its two price children, Bellevue, Seattle.
         assert_eq!(order.len(), 6);
         assert_eq!(order[0], NodeId::ROOT);
-        assert_eq!(t.node(order[1]).tset, vec![0, 3]);
-        assert_eq!(t.node(order[2]).tset, vec![0]);
-        assert_eq!(t.node(order[3]).tset, vec![3]);
-        assert_eq!(t.node(order[4]).tset, vec![1]);
+        assert_eq!(t.tuples(order[1]), [0, 3]);
+        assert_eq!(t.tuples(order[2]), [0]);
+        assert_eq!(t.tuples(order[3]), [3]);
+        assert_eq!(t.tuples(order[4]), [1]);
     }
 
     #[test]
@@ -642,7 +683,7 @@ mod tests {
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(1), NumericRange::closed(0.0, 1.0)),
-            vec![0],
+            &[0],
             1.0,
         );
     }
@@ -654,7 +695,7 @@ mod tests {
         // Children that do not cover the root tset.
         let mut t = CategoryTree::new(rel.clone(), vec![0, 1]);
         t.push_level(AttrId(0));
-        t.add_child(NodeId::ROOT, red.clone(), vec![0], 1.0);
+        t.add_child(NodeId::ROOT, red.clone(), &[0], 1.0);
         let err = t.check_invariants().unwrap_err();
         assert!(err.contains("cover"), "{err}");
 
@@ -664,11 +705,86 @@ mod tests {
         t.add_child(
             NodeId::ROOT,
             red,
-            vec![0, 1], // row 1 is Bellevue
+            &[0, 1], // row 1 is Bellevue
             1.0,
         );
         let err = t.check_invariants().unwrap_err();
         assert!(err.contains("violating"), "{err}");
+
+        // Sibling ranges that overlap, or leave a gap in the parent's.
+        let mut t = sample_tree();
+        let kids = t.node(NodeId::ROOT).children.clone();
+        t.raw_node_mut(kids[1]).range.start -= 1;
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("overlap"), "{err}");
+        let mut t = sample_tree();
+        t.raw_node_mut(kids[2]).range.end -= 1;
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("cover"), "{err}");
+
+        // A leaf whose rows left table order.
+        let rel = homes();
+        let mut t = CategoryTree::new(rel.clone(), vec![0, 1, 3]);
+        t.push_level(AttrId(0));
+        t.add_child(NodeId::ROOT, hood(&rel, "Redmond"), &[3, 0], 1.0);
+        t.add_child(NodeId::ROOT, hood(&rel, "Bellevue"), &[1], 1.0);
+        t.set_p_showtuples(NodeId::ROOT, 0.5);
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("table order"), "{err}");
+    }
+
+    #[test]
+    fn rows_are_held_once_and_roots_are_table_ordered() {
+        // Root → two halves → four quarters over `n` rows: every level
+        // lives in the one permutation, so only the rows themselves
+        // grow the footprint with `n`.
+        let tree = |n: u32| {
+            let schema = Schema::new(vec![
+                Field::new("a", AttrType::Float),
+                Field::new("b", AttrType::Float),
+            ])
+            .unwrap();
+            let mut b = RelationBuilder::new(schema);
+            for i in 0..n {
+                b.push_row(&[f64::from(i).into(), f64::from(i % 2).into()])
+                    .unwrap();
+            }
+            let rel = b.finish().unwrap();
+            // ORDER BY a DESC: the root is put back in table order.
+            let mut t = CategoryTree::new(rel, (0..n).rev().collect());
+            assert_eq!(t.tuples(NodeId::ROOT), (0..n).collect::<Vec<u32>>());
+            t.push_level(AttrId(0));
+            let half = n / 2;
+            let halves = [(0, half), (half, n)].map(|(lo, hi)| {
+                let label = CategoryLabel::range(
+                    AttrId(0),
+                    NumericRange::half_open(f64::from(lo), f64::from(hi)),
+                );
+                let rows: Vec<u32> = (lo..hi).collect();
+                (t.add_child(NodeId::ROOT, label, &rows, 0.5), lo, hi)
+            });
+            t.push_level(AttrId(1));
+            for (id, lo, hi) in halves {
+                for parity in [0, 1] {
+                    let label = CategoryLabel::range(
+                        AttrId(1),
+                        NumericRange::closed(f64::from(parity), f64::from(parity)),
+                    );
+                    let rows: Vec<u32> = (lo..hi).filter(|r| r % 2 == parity).collect();
+                    t.add_child(id, label, &rows, 0.5);
+                }
+                t.set_p_showtuples(id, 0.5);
+            }
+            t.set_p_showtuples(NodeId::ROOT, 0.5);
+            t.check_invariants().unwrap();
+            // Internal nodes are grouped by child.
+            let first = halves[0].0;
+            assert_eq!(t.tuples(first)[..3], [0, 2, 4]);
+            t
+        };
+        let (small, large) = (tree(40), tree(400));
+        assert_eq!(small.node_count(), large.node_count());
+        assert_eq!(large.heap_bytes() - small.heap_bytes(), 360 * 4);
     }
 
     // Property-based tests live behind the off-by-default `slow-tests`
@@ -719,7 +835,7 @@ mod tests {
                     let id = t.add_child(
                         NodeId::ROOT,
                         CategoryLabel::range(AttrId(0), range),
-                        (next..next + size).collect(),
+                        &(next..next + size).collect::<Vec<u32>>(),
                         probs[pi % probs.len()],
                     );
                     pi += 1;
@@ -777,7 +893,7 @@ mod tests {
         let red = hood(&rel, "Redmond");
         let mut t = CategoryTree::new(rel, vec![0, 3]);
         t.push_level(AttrId(0));
-        let c = t.add_child(NodeId::ROOT, red, vec![0, 3], 1.7);
+        let c = t.add_child(NodeId::ROOT, red, &[0, 3], 1.7);
         assert_eq!(t.node(c).p_explore, 1.0);
         t.set_p_showtuples(NodeId::ROOT, -0.5);
         assert_eq!(t.node(NodeId::ROOT).p_showtuples, 0.0);

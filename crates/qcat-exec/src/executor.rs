@@ -381,6 +381,35 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_refuses_donor_and_cold_paths_alike() {
+        let catalog = setup();
+        let relation = catalog.get("listproperty").unwrap();
+        let query = qcat_sql::parse_and_normalize(
+            "SELECT * FROM listproperty WHERE price > 0",
+            relation.schema(),
+        )
+        .unwrap();
+        let all: Vec<u32> = relation.all_row_ids();
+        let residual = [qcat_data::AttrId(1)];
+        assert_eq!(via_donor(&relation, &query, &all, &residual).unwrap().len(), 4);
+        // A fresh budget per path: a tripped one refuses every later
+        // charge, which would hide a path that never checks.
+        let expired = || {
+            qcat_fault::Budget::UNLIMITED
+                .with_deadline(std::time::Duration::ZERO)
+                .start()
+        };
+        let donor = qcat_fault::with_budget(&expired(), || {
+            via_donor(&relation, &query, &all, &residual).unwrap_err()
+        });
+        let cold =
+            qcat_fault::with_budget(&expired(), || execute_cold(&relation, &query).unwrap_err());
+        let deadline = ExecError::Budget(qcat_fault::BudgetExceeded::Deadline);
+        assert_eq!(cold, deadline);
+        assert_eq!(donor, deadline, "four donor rows finish under the poll stride");
+    }
+
+    #[test]
     fn residual_filter_matches_cold_execution() {
         let catalog = setup();
         let relation = catalog.get("listproperty").unwrap();

@@ -173,18 +173,18 @@ pub fn select_rows(
         threads,
         donor,
     } = *opts;
+    // Check once before any work: small relations and donors may
+    // finish under the filters' poll stride, but an already-expired
+    // deadline must still refuse deterministically on every path.
+    if let Some(g) = qcat_fault::current_gas() {
+        g.check()?;
+    }
     if let Some(donor) = donor {
         let rows = residual_filter(relation, query, donor.residual, donor.rows, "exec.residual")?;
         return Ok((rows, PlanExplain::scan(donor.residual.len(), 0)));
     }
     if let Some(fault) = qcat_fault::point("exec.plan") {
         return Err(fault.into());
-    }
-    // Check once before any work: small relations may finish under
-    // the scan's poll stride, but an already-expired deadline must
-    // still refuse deterministically.
-    if let Some(g) = qcat_fault::current_gas() {
-        g.check()?;
     }
     // Segment pruning mask: which segments could hold a match at all,
     // judged per condition against their summaries. The AND semantics

@@ -35,3 +35,17 @@ pub use oracle::{
 };
 pub use relevance::RelevanceJudge;
 pub use trace::ExplorationStats;
+
+use qcat_core::{CategoryTree, NodeId};
+use std::borrow::Cow;
+
+/// The rows SHOWTUPLES presents at `id`, in table order. A leaf's
+/// tuples already are; an internal node's are grouped by child in the
+/// tree's row permutation, so they are sorted back.
+fn showtuples(tree: &CategoryTree, id: NodeId) -> Cow<'_, [u32]> {
+    let mut rows = Cow::Borrowed(tree.tuples(id));
+    if !tree.node(id).is_leaf() {
+        rows.to_mut().sort_unstable();
+    }
+    rows
+}

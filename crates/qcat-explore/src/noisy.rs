@@ -120,7 +120,7 @@ impl Session<'_> {
         self.stats.nodes_explored += 1;
         if node.is_leaf() || !self.wants_showcat(id) {
             self.stats.showtuples_choices += 1;
-            for &row in &node.tset {
+            for &row in crate::showtuples(self.tree, id).iter() {
                 if self.exhausted() {
                     self.note_exhaustion();
                     return;
@@ -164,7 +164,7 @@ impl Session<'_> {
         self.stats.nodes_explored += 1;
         if node.is_leaf() || !self.wants_showcat(id) {
             self.stats.showtuples_choices += 1;
-            for &row in &node.tset {
+            for &row in crate::showtuples(self.tree, id).iter() {
                 if self.exhausted() {
                     self.note_exhaustion();
                     return false;

@@ -46,7 +46,7 @@ fn explore_all(
         // SHOWTUPLES: examine every tuple of tset(C).
         stats.showtuples_choices += 1;
         stats.tuples_examined += node.tuple_count();
-        stats.relevant_found += judge.count_relevant(tree.relation(), &node.tset);
+        stats.relevant_found += judge.count_relevant(tree.relation(), tree.tuples(id));
         return;
     }
     for &child in &node.children {
@@ -93,7 +93,7 @@ fn explore_one(
     let showcat = !node.is_leaf() && wants_showcat(tree, id, need);
     if !showcat {
         stats.showtuples_choices += 1;
-        for &row in &node.tset {
+        for &row in crate::showtuples(tree, id).iter() {
             stats.tuples_examined += 1;
             if judge.is_relevant(tree.relation(), row) {
                 stats.relevant_found = 1;
@@ -157,7 +157,7 @@ fn explore_one_ordered(
     let showcat = !node.is_leaf() && wants_showcat(tree, id, need);
     if !showcat {
         stats.showtuples_choices += 1;
-        for row in order(&node.tset) {
+        for row in order(&crate::showtuples(tree, id)) {
             stats.tuples_examined += 1;
             if judge.is_relevant(tree.relation(), row) {
                 stats.relevant_found = 1;

@@ -14,6 +14,11 @@
 //! - **A6** every reported cost is finite and ≥ 0;
 //! - **A7** the report matches brute-force Eq. 1 within `1e-9`.
 //!
+//! A3 and A4 compare the rows of sibling slices of the tree's row
+//! permutation as sets, independently of
+//! [`CategoryTree::check_invariants`], which checks that the children's
+//! ranges tile the parent's range.
+//!
 //! The auditor never trusts the evaluator under test: A7 recomputes
 //! CostAll by direct recursion over the tree (differential testing),
 //! so a bug in the shared fold cannot mask itself.
@@ -64,9 +69,9 @@ fn check_probabilities(id: NodeId, p: f64, pw: f64, diags: &mut Vec<Diagnostic>)
 /// A3 + A4: the children of `id` partition its tuple-set.
 fn check_partition(tree: &CategoryTree, id: NodeId, diags: &mut Vec<Diagnostic>) {
     let node = tree.node(id);
-    let mut union: Vec<u32> = Vec::with_capacity(node.tset.len());
+    let mut union: Vec<u32> = Vec::with_capacity(node.tuple_count());
     for &c in &node.children {
-        union.extend_from_slice(&tree.node(c).tset);
+        union.extend_from_slice(tree.tuples(c));
     }
     union.sort_unstable();
     if let Some(w) = union.windows(2).find(|w| w[0] == w[1]) {
@@ -77,7 +82,7 @@ fn check_partition(tree: &CategoryTree, id: NodeId, diags: &mut Vec<Diagnostic>)
         ));
         union.dedup();
     }
-    let mut parent = node.tset.clone();
+    let mut parent = tree.tuples(id).to_vec();
     parent.sort_unstable();
     if union != parent {
         diags.push(Diagnostic::file_level(
@@ -98,8 +103,7 @@ fn check_label_path(tree: &CategoryTree, id: NodeId, diags: &mut Vec<Diagnostic>
     if path.is_empty() {
         return;
     }
-    let node = tree.node(id);
-    for &row in &node.tset {
+    for &row in tree.tuples(id) {
         if let Some(label) = path.iter().find(|l| !l.matches_row(tree.relation(), row)) {
             diags.push(Diagnostic::file_level(
                 TREE,
@@ -245,13 +249,13 @@ mod tests {
         let a = t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::half_open(0.0, 10.0)),
-            (0..10).collect(),
+            &(0..10).collect::<Vec<u32>>(),
             0.7,
         );
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::closed(10.0, 19.0)),
-            (10..20).collect(),
+            &(10..20).collect::<Vec<u32>>(),
             0.3,
         );
         t.push_level(AttrId(1));
@@ -259,13 +263,13 @@ mod tests {
         t.add_child(
             a,
             CategoryLabel::range(AttrId(1), NumericRange::half_open(0.0, 2.0)),
-            vec![0, 1, 5, 6],
+            &[0, 1, 5, 6],
             0.5,
         );
         t.add_child(
             a,
             CategoryLabel::range(AttrId(1), NumericRange::closed(2.0, 4.0)),
-            vec![2, 3, 4, 7, 8, 9],
+            &[2, 3, 4, 7, 8, 9],
             0.5,
         );
         t.set_p_showtuples(NodeId::ROOT, 0.3);
@@ -282,13 +286,13 @@ mod tests {
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::half_open(0.0, 6.0)),
-            (0..6).collect(),
+            &(0..6).collect::<Vec<u32>>(),
             0.8,
         );
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::closed(6.0, 9.0)),
-            (6..10).collect(),
+            &(6..10).collect::<Vec<u32>>(),
             0.2,
         );
         t.set_p_showtuples(NodeId::ROOT, 0.25);
@@ -331,8 +335,8 @@ mod tests {
     fn a3_overlapping_siblings() {
         let mut t = flat_tree();
         let kid = t.node(NodeId::ROOT).children[1];
-        // Row 5 already belongs to the first child [0,6).
-        t.raw_node_mut(kid).tset.push(5);
+        // Reach back over row 5, which belongs to the first child [0,6).
+        t.raw_node_mut(kid).range.start -= 1;
         let diags = audit_tree(&t);
         // Overlap also breaks exact cover and the second child's
         // label (row 5 < 6.0), so A3 must be present; the others may
@@ -344,7 +348,7 @@ mod tests {
     fn a4_children_must_cover() {
         let mut t = flat_tree();
         let kid = t.node(NodeId::ROOT).children[1];
-        t.raw_node_mut(kid).tset.pop();
+        t.raw_node_mut(kid).range.end -= 1;
         let diags = audit_tree(&t);
         assert_eq!(ids(&diags), vec!["A4"]);
     }
@@ -353,8 +357,8 @@ mod tests {
     fn a5_label_conjunction() {
         let mut t = flat_tree();
         let kid = t.node(NodeId::ROOT).children[0];
-        // Swap in a row that violates the child's own range label.
-        t.raw_node_mut(kid).tset[0] = 9;
+        // Reach over row 6, which violates the child's own range label.
+        t.raw_node_mut(kid).range.end += 1;
         let diags = audit_tree(&t);
         assert!(ids(&diags).contains(&"A5"), "{diags:?}");
     }

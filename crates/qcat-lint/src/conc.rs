@@ -721,7 +721,7 @@ fn for_loop_head(toks: &[Token], for_kw: usize, end: usize) -> Option<(usize, us
 
 /// Does the iteration expression mention a governed collection that
 /// is not a field of `self`? (`for node in &self.nodes` is the
-/// owner's own traversal; `for &row in &node.tset` iterates data.)
+/// owner's own traversal; `for &row in tree.tuples(id)` iterates data.)
 fn governed_iter(toks: &[Token], start: usize, end: usize) -> bool {
     for i in start..end {
         let t = &toks[i];

@@ -54,14 +54,9 @@ pub struct Token {
 pub struct Lexed {
     /// Tokens in source order; comments and whitespace are dropped.
     pub tokens: Vec<Token>,
-    /// Number of lines in the source (`split('\n').count()`).
-    pub line_count: usize,
-    /// Per-line flag: the line is (part of) a doc comment
-    /// (`///`, `//!`, `/** */`, `/*! */`).
-    pub doc_line: Vec<bool>,
 }
 
-/// Lex `source` into tokens plus line metadata.
+/// Lex `source` into tokens carrying their line and column.
 pub fn lex(source: &str) -> Lexed {
     Lexer::new(source).run()
 }
@@ -72,19 +67,16 @@ struct Lexer<'a> {
     line: usize, // 0-based while lexing
     col: usize,
     tokens: Vec<Token>,
-    doc_line: Vec<bool>,
 }
 
 impl<'a> Lexer<'a> {
     fn new(source: &'a str) -> Self {
-        let line_count = source.split('\n').count();
         Lexer {
             b: source.as_bytes(),
             i: 0,
             line: 0,
             col: 0,
             tokens: Vec::new(),
-            doc_line: vec![false; line_count],
         }
     }
 
@@ -102,11 +94,8 @@ impl<'a> Lexer<'a> {
                 _ => self.punct(),
             }
         }
-        let line_count = self.doc_line.len();
         Lexed {
             tokens: self.tokens,
-            line_count,
-            doc_line: self.doc_line,
         }
     }
 
@@ -135,19 +124,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn line_comment(&mut self) {
-        let is_doc = (self.slice_starts_with(b"///") && !self.slice_starts_with(b"////"))
-            || self.slice_starts_with(b"//!");
         while self.i < self.b.len() && self.b[self.i] != b'\n' {
-            if is_doc {
-                self.doc_line[self.line] = true;
-            }
             self.bump();
         }
     }
 
     fn block_comment(&mut self) {
-        let is_doc = (self.slice_starts_with(b"/**") && !self.slice_starts_with(b"/***"))
-            || self.slice_starts_with(b"/*!");
         let mut depth = 0usize;
         while self.i < self.b.len() {
             if self.slice_starts_with(b"/*") {
@@ -162,9 +144,6 @@ impl<'a> Lexer<'a> {
                     break;
                 }
             } else {
-                if is_doc {
-                    self.doc_line[self.line] = true;
-                }
                 self.bump();
             }
         }
@@ -494,12 +473,6 @@ mod tests {
     fn raw_ident_lookalikes_are_not_raw_strings() {
         // `r` and `b` as plain identifiers must lex as identifiers.
         assert_eq!(idents("for r in rows { b += r; }"), vec!["for", "r", "in", "rows", "b", "r"]);
-    }
-
-    #[test]
-    fn doc_lines_are_marked() {
-        let l = lex("/// docs\nfn f() {}\n//! inner\n// plain\n/** block */\nx();\n");
-        assert_eq!(l.doc_line, vec![true, false, true, false, true, false, false]);
     }
 
     #[test]

@@ -144,13 +144,13 @@ fn audit_self_check() -> Vec<Diagnostic> {
     let kid = tree.add_child(
         NodeId::ROOT,
         CategoryLabel::range(AttrId(0), NumericRange::half_open(0.0, 4.0)),
-        (0..4).collect(),
+        &(0..4).collect::<Vec<u32>>(),
         0.5,
     );
     tree.add_child(
         NodeId::ROOT,
         CategoryLabel::range(AttrId(0), NumericRange::closed(4.0, 7.0)),
-        (4..8).collect(),
+        &(4..8).collect::<Vec<u32>>(),
         0.5,
     );
     tree.set_p_showtuples(NodeId::ROOT, 0.5);

@@ -20,15 +20,15 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose sources are scanned for L1/L2 (the library layers
 /// the cost model's correctness rests on, plus the observability
-/// substrate every other crate calls into). `(crate name,
-/// repo-relative source dir)`.
-pub const SCANNED_CRATES: &[(&str, &str)] = &[
-    ("qcat-core", "crates/core"),
-    ("qcat-data", "crates/qcat-data"),
-    ("qcat-sql", "crates/qcat-sql"),
-    ("qcat-exec", "crates/qcat-exec"),
-    ("qcat-obs", "crates/qcat-obs"),
-    ("qcat-serve", "crates/qcat-serve"),
+/// substrate every other crate calls into), as repo-relative crate
+/// directories.
+pub const SCANNED_CRATES: &[&str] = &[
+    "crates/core",
+    "crates/qcat-data",
+    "crates/qcat-sql",
+    "crates/qcat-exec",
+    "crates/qcat-obs",
+    "crates/qcat-serve",
 ];
 
 /// How a workspace scan went, for wall-time reporting.
@@ -151,7 +151,7 @@ pub fn lint_workspace_with_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, Sc
 fn options_for_file(crate_dir: &str, rel_path: &str) -> ScanOptions {
     let scanned = SCANNED_CRATES
         .iter()
-        .any(|(_, dir)| rel_path.starts_with(&format!("{dir}/src/")));
+        .any(|dir| rel_path.starts_with(&format!("{dir}/src/")));
     let mut opts = if scanned {
         options_for(rel_path)
     } else {

@@ -94,6 +94,24 @@ fn l9_fires_on_the_unpolled_loop_but_not_its_polled_twin() {
 }
 
 #[test]
+fn l9_fires_on_an_unpolled_walk_of_a_category_slice() {
+    let (text, diags) = analyze("tuples_gap.rs", "qcat-core");
+    let ids: Vec<&str> = diags.iter().map(|d| d.rule.id()).collect();
+    assert_eq!(ids, vec!["L9"], "{diags:?}");
+    let msg = &diags[0].message;
+    assert!(msg.contains("`count_matches`"), "{msg}");
+    assert!(!msg.contains("count_matches_polled"), "{msg}");
+    let unpolled = text.find("fn count_matches(").expect("fixture lost the seeded fn");
+    let loop_line = text[..unpolled].matches('\n').count()
+        + 1
+        + text[unpolled..]
+            .lines()
+            .position(|l| l.contains("for &row in tree.tuples(id)"))
+            .expect("fixture lost the seeded loop");
+    assert_eq!(diags[0].line, loop_line, "{diags:?}");
+}
+
+#[test]
 fn l10_fires_on_the_blind_alloc_but_not_its_charged_twin() {
     let (text, diags) = analyze("budget_blind.rs", "qcat-serve");
     let ids: Vec<&str> = diags.iter().map(|d| d.rule.id()).collect();

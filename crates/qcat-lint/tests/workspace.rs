@@ -50,13 +50,13 @@ fn two_bucket_tree(n: usize) -> CategoryTree {
     t.add_child(
         NodeId::ROOT,
         CategoryLabel::range(AttrId(0), NumericRange::half_open(0.0, mid as f64)),
-        (0..mid).collect(),
+        &(0..mid).collect::<Vec<u32>>(),
         0.6,
     );
     t.add_child(
         NodeId::ROOT,
         CategoryLabel::range(AttrId(0), NumericRange::closed(mid as f64, (n - 1) as f64)),
-        (mid..n as u32).collect(),
+        &(mid..n as u32).collect::<Vec<u32>>(),
         0.4,
     );
     t.set_p_showtuples(NodeId::ROOT, 0.3);
@@ -78,7 +78,7 @@ fn engine2_accepts_valid_tree_and_flags_perturbations() {
 
     let mut broken = two_bucket_tree(12);
     let kid = broken.node(NodeId::ROOT).children[1];
-    broken.raw_node_mut(kid).tset.push(0); // overlaps the first child
+    broken.raw_node_mut(kid).range.start -= 1; // overlaps the first child
     assert!(audit::audit_tree(&broken)
         .iter()
         .any(|d| d.rule == Rule::A3TsetDisjoint));

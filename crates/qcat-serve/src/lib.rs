@@ -534,6 +534,30 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_degrades_a_containment_fill_at_execution() {
+        // Speculation (unbudgeted) caches the Redmond answer, which
+        // subsumes the refinement, so the refinement's fill takes the
+        // donor path.
+        let sql = "SELECT * FROM homes WHERE neighborhood IN ('Redmond') AND price <= 400000";
+        let unlimited = budgeted_server(qcat_fault::Budget::UNLIMITED);
+        unlimited.speculate("homes", &SpeculateConfig::default()).unwrap();
+        assert_eq!(unlimited.serve(sql).unwrap().outcome, ServeOutcome::ContainmentHit);
+        // Under an expired deadline the donor execution refuses, like
+        // a cold one, and the serve falls back to the empty flat tree.
+        let s = budgeted_server(
+            qcat_fault::Budget::UNLIMITED.with_deadline(std::time::Duration::ZERO),
+        );
+        s.speculate("homes", &SpeculateConfig::default()).unwrap();
+        let served = s.serve(sql).unwrap();
+        assert_eq!(
+            served.tree.degraded(),
+            Some(qcat_core::DegradeReason::Deadline)
+        );
+        assert_eq!(served.rows, 0, "execution refused: no rows in the fallback");
+        assert_eq!(served.tree.node_count(), 1);
+    }
+
+    #[test]
     fn node_cap_degrades_tree_and_skips_tree_cache() {
         // Generous enough for execution, too tight for a full tree.
         let s = budgeted_server(qcat_fault::Budget::UNLIMITED.with_max_nodes(2));

@@ -54,7 +54,7 @@ impl Session {
         let schema = self.tree.relation().schema().clone();
         let names: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
         println!("  {}", names.join(" | "));
-        for &row in node.tset.iter().take(limit) {
+        for &row in self.tree.tuples(self.current).iter().take(limit) {
             let values = self
                 .tree
                 .relation()

@@ -12,6 +12,13 @@ echo "==> cargo build --release --workspace"
 # `cargo build` would skip the other members' binaries (bench_*).
 cargo build --release --workspace
 
+echo "==> perfbench build (compile-only: the benchmark links the library API)"
+# perfbench is its own workspace with its own lockfile, so neither the
+# workspace build nor the tests compile it; a library API change that
+# breaks the benchmark would otherwise surface only when it is run.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> qcat-lint (L1-L10 + audit self-check)"
 cargo run --release -p qcat-lint -- --workspace
 

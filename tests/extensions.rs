@@ -70,7 +70,7 @@ fn refinement_round_trips_through_the_whole_stack() {
     let refined = refine_query(&tree, node, Some(&query), "listproperty");
     let narrowed = execute(&env.relation, &refined, &ExecOptions::default()).unwrap();
     let mut got = narrowed.rows().to_vec();
-    let mut want = tree.node(node).tset.clone();
+    let mut want = tree.tuples(node).to_vec();
     got.sort_unstable();
     want.sort_unstable();
     assert_eq!(got, want, "refined query must select exactly the category");
@@ -101,7 +101,7 @@ fn persisted_statistics_survive_the_facade_round_trip() {
     assert_eq!(a.node_count(), b.node_count());
     assert_eq!(a.level_attrs(), b.level_attrs());
     for (x, y) in a.dfs().iter().zip(b.dfs().iter()) {
-        assert_eq!(a.node(*x).tset, b.node(*y).tset);
+        assert_eq!(a.tuples(*x), b.tuples(*y));
         assert_eq!(a.node(*x).p_explore, b.node(*y).p_explore);
     }
 }

@@ -102,13 +102,13 @@ fn audit_catches_seeded_violations() {
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::half_open(0.0, 5.0)),
-            (0..5).collect(),
+            &(0..5).collect::<Vec<u32>>(),
             0.5,
         );
         t.add_child(
             NodeId::ROOT,
             CategoryLabel::range(AttrId(0), NumericRange::closed(5.0, 9.0)),
-            (5..10).collect(),
+            &(5..10).collect::<Vec<u32>>(),
             0.5,
         );
         t.set_p_showtuples(NodeId::ROOT, 0.4);
@@ -125,7 +125,7 @@ fn audit_catches_seeded_violations() {
     // Overlapping sibling tsets → A3.
     let mut t = build();
     let second = t.node(NodeId::ROOT).children[1];
-    t.raw_node_mut(second).tset.push(2);
+    t.raw_node_mut(second).range.start = 2; // reaches into the first child
     let rules: Vec<Rule> = audit::audit_tree(&t).iter().map(|d| d.rule).collect();
     assert!(rules.contains(&Rule::A3TsetDisjoint), "{rules:?}");
 }

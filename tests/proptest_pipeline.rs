@@ -163,7 +163,7 @@ proptest! {
             .dfs()
             .into_iter()
             .filter(|&id| tree.node(id).is_leaf())
-            .flat_map(|id| tree.node(id).tset.clone())
+            .flat_map(|id| tree.tuples(id).to_vec())
             .collect();
         leaf_rows.sort_unstable();
         let mut expected = result.rows().to_vec();
