@@ -249,15 +249,22 @@ impl CategoryTree {
     }
 
     /// Estimated owned heap footprint in bytes: the node arena, the
-    /// row permutation, every node's child list, and label entries
-    /// (each `In`
-    /// entry holds a code plus an interned `Arc<str>` handle; the
-    /// string bytes themselves are shared with the relation's
-    /// dictionary and not counted). The relation handle is shared and
-    /// likewise excluded. Used by the serving layer's byte-budgeted
-    /// tree cache.
+    /// row permutation, every node's child list, and the B-tree nodes
+    /// of `In` labels (each entry holds a code plus an interned
+    /// `Arc<str>` handle; the string bytes themselves are shared with
+    /// the relation's dictionary and not counted). The relation handle
+    /// is shared and likewise excluded. Used by the serving layer's
+    /// byte-budgeted answer cache.
     pub fn heap_bytes(&self) -> usize {
         use crate::label::LabelKind;
+        use std::mem::size_of;
+        // A `BTreeMap` allocates whole nodes of up to 11 entries, so
+        // even a one-value label (the shape the cost-based partitioner
+        // builds) holds a full node: parent link, 11 keys, 11 values
+        // and two lengths.
+        const IN_NODE_BYTES: usize = size_of::<usize>()
+            + 11 * (size_of::<u32>() + size_of::<std::sync::Arc<str>>())
+            + 2 * size_of::<u16>();
         let mut bytes = self.nodes.capacity() * std::mem::size_of::<Node>()
             + self.rows.capacity() * std::mem::size_of::<u32>()
             + self.level_attrs.capacity() * std::mem::size_of::<AttrId>();
@@ -265,9 +272,7 @@ impl CategoryTree {
             bytes += node.children.capacity() * std::mem::size_of::<NodeId>();
             if let Some(label) = &node.label {
                 bytes += match &label.kind {
-                    // BTreeMap node overhead dominates the entry size;
-                    // 48 bytes per entry is a deliberate overestimate.
-                    LabelKind::In(entries) => entries.len() * 48,
+                    LabelKind::In(entries) => entries.len().div_ceil(11) * IN_NODE_BYTES,
                     LabelKind::Range(_) => 0,
                 };
             }

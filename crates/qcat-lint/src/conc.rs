@@ -740,16 +740,18 @@ fn governed_iter(toks: &[Token], start: usize, end: usize) -> bool {
 fn budget_blind_allocs(table: &SymbolTable, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
     let region = budget_region(table, graph);
 
-    // Heap-accounting coverage: seeded by non-test fns that mention
+    // Heap-accounting coverage: seeded by library fns that mention
     // charge_heap/heap_bytes, propagated caller → callee through
-    // non-test callers only (a test calling charge_heap must not
-    // launder coverage into production code).
+    // library callers only. A test, a binary or a benchmark calling
+    // heap_bytes on what a library fn returned must not launder
+    // coverage into that library fn: the budget never sees it.
     let n = table.fns.len();
+    let accounts = |d: &FnDef| !d.is_test && !outside_library(table, d);
     let mut covered: Vec<bool> = table
         .fns
         .iter()
         .map(|d| {
-            !d.is_test
+            accounts(d)
                 && HEAP_ACCOUNT_NAMES
                     .iter()
                     .any(|name| body_has_ident(table, d, name))
@@ -757,7 +759,7 @@ fn budget_blind_allocs(table: &SymbolTable, graph: &CallGraph, diags: &mut Vec<D
         .collect();
     let mut work: Vec<usize> = (0..n).filter(|&f| covered[f]).collect();
     while let Some(c) = work.pop() {
-        if table.fns[c].is_test {
+        if !accounts(&table.fns[c]) {
             continue;
         }
         for &g in &graph.callees[c] {
@@ -800,6 +802,17 @@ fn budget_blind_allocs(table: &SymbolTable, graph: &CallGraph, diags: &mut Vec<D
             }
         }
     }
+}
+
+/// Is `def` outside the library code a budget governs: a binary
+/// (`src/bin/`, `main.rs`, `examples/`) or the `qcat-bench` crate?
+fn outside_library(table: &SymbolTable, def: &FnDef) -> bool {
+    let path = &table.files[def.file].path;
+    def.krate == "qcat-bench"
+        || path.contains("/bin/")
+        || path.ends_with("main.rs")
+        || path.starts_with("examples/")
+        || path.contains("/examples/")
 }
 
 /// Body token ranges of every `for`/`while`/`loop` body in

@@ -24,6 +24,29 @@ fn analyze(name: &str, krate: &str) -> (String, Vec<Diagnostic>) {
     (text, diags)
 }
 
+/// Analyze the `bench_laundered.rs` library fixture together with its
+/// caller `bench_caller.rs`, placed at `caller_path` in `caller_crate`.
+fn analyze_with_caller(caller_path: &str, caller_crate: &str) -> (String, Vec<Diagnostic>) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let read = |name: &str| {
+        std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
+    };
+    let lib = read("bench_laundered.rs");
+    let diags = analyze_sources(&[
+        SourceFile {
+            path: "crates/qcat-serve/src/bench_laundered.rs".to_string(),
+            krate: "qcat-serve".to_string(),
+            text: lib.clone(),
+        },
+        SourceFile {
+            path: caller_path.to_string(),
+            krate: caller_crate.to_string(),
+            text: read("bench_caller.rs"),
+        },
+    ]);
+    (lib, diags)
+}
+
 /// 1-based line of the unique occurrence of `needle` in `text`.
 fn line_of(text: &str, needle: &str) -> usize {
     let pos = text.find(needle).unwrap_or_else(|| panic!("fixture lost `{needle}`"));
@@ -122,4 +145,25 @@ fn l10_fires_on_the_blind_alloc_but_not_its_charged_twin() {
         blind + 2,
         "must flag the allocation inside `build`: {diags:?}"
     );
+}
+
+#[test]
+fn l10_ignores_heap_accounting_in_benchmarks_and_binaries() {
+    for (path, krate) in [
+        ("crates/bench/src/bin/bench_probe.rs", "qcat-bench"),
+        ("crates/bench/src/lib.rs", "qcat-bench"),
+        ("crates/qcat-study/src/bin/probe.rs", "qcat-study"),
+        ("crates/qcat-lint/src/main.rs", "qcat-lint"),
+        ("examples/probe.rs", "qcat"),
+    ] {
+        let (text, diags) = analyze_with_caller(path, krate);
+        let ids: Vec<&str> = diags.iter().map(|d| d.rule.id()).collect();
+        assert_eq!(ids, vec!["L10"], "caller at {path}: {diags:?}");
+        let seeded = line_of(&text, "/// BUG (seeded): the benchmark's accounting is laundered");
+        assert_eq!(diags[0].line, seeded + 2, "must flag `probe_keys`: {diags:?}");
+        assert!(diags[0].message.contains("`probe_keys`"), "{}", diags[0].message);
+    }
+    // The same caller in library code does account for its callee.
+    let (_, diags) = analyze_with_caller("crates/qcat-study/src/probe.rs", "qcat-study");
+    assert_eq!(diags, vec![], "a library caller's accounting counts: {diags:?}");
 }

@@ -1,154 +1,58 @@
-//! Per-table index of containment-eligible cached answers.
+//! Which cached answers can donate their rows to a query.
 //!
-//! The result cache maps fingerprint → `ResultSet`, which only helps
-//! a query that *is* a cached one. Exploration workloads mostly
-//! *refine*: the next query adds a conjunct or tightens a range, so
-//! its answer is contained in a cached superset's. This index makes
-//! that probe cheap: every containment-eligible cached entry (no
-//! `LIMIT` — a truncated answer proves nothing) is bucketed by its
-//! **attribute signature**, the sorted set of attributes its conjuncts
-//! constrain. A donor can only subsume a query if its signature is a
-//! subset of the query's constrained attributes, so a probe walks the
-//! (few) signatures of one table, skips non-subsets wholesale, and
-//! runs the full [`qcat_sql::subsumes`] dominance check on the
-//! survivors.
+//! An exact cache hit only helps a query that *is* a cached one.
+//! Exploration workloads mostly *refine*: the next query adds a
+//! conjunct or tightens a range, so its answer is contained in a cached
+//! superset's. A cold miss therefore probes the answer cache
+//! ([`crate::cache`]) for a **donor**: a cached answer, in either form,
+//! whose query provably subsumes the new one ([`qcat_sql::subsumes`];
+//! a `LIMIT` answer is a truncation and never donates).
 //!
-//! The index holds keys and normalized queries, never row ids: rows
-//! stay in the byte-budgeted result LRU, which evicts independently.
-//! Entries here are removed lazily — a probe that finds its key gone
-//! (LRU-evicted from the result cache) unhooks it, and inserts trigger
-//! a full sweep when the dangling fraction grows — so the index can
-//! never serve rows the cache no longer holds.
+//! The probe walks the cache's own entries, so it can never name rows
+//! the cache no longer holds. Each entry carries its query's
+//! **attribute signature**, the set of attributes its conjuncts
+//! constrain, as a bit set. A donor can only subsume a query whose
+//! signature contains its own, so one mask test skips most entries
+//! before the full dominance check runs on the survivors.
 
-use qcat_data::AttrId;
 use qcat_sql::NormalizedQuery;
-use std::collections::HashMap;
-use std::sync::Arc;
 
-/// One containment donor candidate: the cache key of its rows plus
-/// the normalized query that produced them.
-#[derive(Debug, Clone)]
-pub(crate) struct Candidate {
-    pub key: String,
-    pub query: Arc<NormalizedQuery>,
+/// The attributes `query` constrains, as a bit set: attribute `i` is
+/// bit `i`, and attributes from 63 up share bit 63 (the test below
+/// stays conservative: sharing can only let a non-donor through to
+/// the full check, never turn a donor away).
+pub(crate) fn signature(query: &NormalizedQuery) -> u64 {
+    query
+        .conditions
+        .keys()
+        .fold(0, |sig, attr| sig | 1 << attr.0.min(63))
 }
 
-/// Attribute-signature index over one server's cached result entries.
-#[derive(Debug, Default)]
-pub(crate) struct ContainmentIndex {
-    /// table → signature (sorted constrained attrs) → donors.
-    tables: HashMap<String, HashMap<Vec<AttrId>, Vec<Candidate>>>,
-    entries: usize,
+/// One cold miss looking for a donor.
+pub(crate) struct Probe<'a> {
+    key: &'a str,
+    query: &'a NormalizedQuery,
+    signature: u64,
 }
 
-fn signature(query: &NormalizedQuery) -> Vec<AttrId> {
-    // BTreeMap iterates in attribute order: already sorted.
-    query.conditions.keys().copied().collect()
-}
-
-impl ContainmentIndex {
-    /// Register a cached entry as a potential donor. No-op for
-    /// containment-ineligible queries (`LIMIT` truncates the answer).
-    pub fn insert(&mut self, key: &str, query: &NormalizedQuery) {
-        if query.limit.is_some() {
-            return;
-        }
-        let bucket = self
-            .tables
-            .entry(query.table.clone())
-            .or_default()
-            .entry(signature(query))
-            .or_default();
-        if bucket.iter().any(|d| d.key == key) {
-            return;
-        }
-        bucket.push(Candidate {
-            key: key.to_string(),
-            query: Arc::new(query.clone()),
-        });
-        self.entries += 1;
-    }
-
-    /// Every indexed donor that provably subsumes `query`, cheapest
-    /// buckets first is not guaranteed — callers rank by live row
-    /// count. Liveness (cache residency) is the caller's check;
-    /// report dead keys back through [`ContainmentIndex::remove`].
-    pub fn candidates(&self, query: &NormalizedQuery) -> Vec<Candidate> {
-        let Some(sigs) = self.tables.get(&query.table) else {
-            return Vec::new();
-        };
-        let probe_sig = signature(query);
-        let probe_key = crate::fingerprint(query);
-        let mut out = Vec::new();
-        for (sig, bucket) in sigs {
-            // Subset test over two sorted lists; a donor constraining
-            // an attribute the query leaves free can never be implied.
-            if !is_sorted_subset(sig, &probe_sig) {
-                continue;
-            }
-            for donor in bucket {
-                // The exact-hit path owns identical fingerprints.
-                if donor.key != probe_key && qcat_sql::subsumes(&donor.query, query) {
-                    out.push(donor.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Unhook one donor (its cached rows were evicted or went stale).
-    pub fn remove(&mut self, table: &str, key: &str) {
-        if let Some(sigs) = self.tables.get_mut(table) {
-            for bucket in sigs.values_mut() {
-                let before = bucket.len();
-                bucket.retain(|d| d.key != key);
-                self.entries -= before - bucket.len();
-            }
-            sigs.retain(|_, b| !b.is_empty());
+impl<'a> Probe<'a> {
+    /// The probe for `query`, cached under `key`.
+    pub fn new(key: &'a str, query: &'a NormalizedQuery) -> Self {
+        Probe {
+            key,
+            query,
+            signature: signature(query),
         }
     }
 
-    /// Number of indexed donors (dangling ones included until swept).
-    pub fn len(&self) -> usize {
-        self.entries
+    /// Can the answer cached under `key` for `donor`, whose signature
+    /// is `signature`, donate its rows? Never the probe's own key: the
+    /// exact-hit path owns identical fingerprints.
+    pub fn accepts(&self, key: &str, donor: &NormalizedQuery, signature: u64) -> bool {
+        // A donor constraining an attribute the query leaves free can
+        // never be implied.
+        signature & !self.signature == 0 && key != self.key && qcat_sql::subsumes(donor, self.query)
     }
-
-    /// Drop donors whose key fails `live` — called when the dangling
-    /// fraction grows, so the index stays proportional to the cache.
-    pub fn sweep(&mut self, live: impl Fn(&str) -> bool) {
-        for sigs in self.tables.values_mut() {
-            for bucket in sigs.values_mut() {
-                let before = bucket.len();
-                bucket.retain(|d| live(&d.key));
-                self.entries -= before - bucket.len();
-            }
-            sigs.retain(|_, b| !b.is_empty());
-        }
-        self.tables.retain(|_, s| !s.is_empty());
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.tables.clear();
-        self.entries = 0;
-    }
-}
-
-/// Is sorted `a` a subset of sorted `b`?
-fn is_sorted_subset(a: &[AttrId], b: &[AttrId]) -> bool {
-    let mut bi = b.iter();
-    'outer: for x in a {
-        for y in bi.by_ref() {
-            if y == x {
-                continue 'outer;
-            }
-            if y > x {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -170,95 +74,84 @@ mod tests {
         parse_and_normalize(sql, &schema()).unwrap()
     }
 
-    fn key(query: &NormalizedQuery) -> String {
-        crate::fingerprint(query)
+    /// Does the cached answer of `donor` donate to `probe`?
+    fn donates(donor: &NormalizedQuery, probe: &NormalizedQuery) -> bool {
+        let key = crate::fingerprint(probe);
+        Probe::new(&key, probe).accepts(&crate::fingerprint(donor), donor, signature(donor))
     }
 
     #[test]
     fn probe_finds_subsuming_donor_only() {
-        let mut idx = ContainmentIndex::default();
         let wide = q("SELECT * FROM homes WHERE price <= 300000");
         let narrow = q("SELECT * FROM homes WHERE price <= 100000");
         let other_attr = q("SELECT * FROM homes WHERE bedroomcount >= 2");
-        idx.insert(&key(&wide), &wide);
-        idx.insert(&key(&narrow), &narrow);
-        idx.insert(&key(&other_attr), &other_attr);
-        assert_eq!(idx.len(), 3);
-
         let probe = q("SELECT * FROM homes WHERE price <= 200000");
-        let found = idx.candidates(&probe);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, key(&wide));
-        // A probe on both attributes matches both single-attr donors.
+        assert!(donates(&wide, &probe));
+        assert!(!donates(&narrow, &probe));
+        assert!(
+            !donates(&other_attr, &probe),
+            "constrains an attribute the probe leaves free"
+        );
+        // A probe on both attributes is subsumed by both single-attr
+        // donors, never by the narrower range.
         let probe2 = q("SELECT * FROM homes WHERE price <= 200000 AND bedroomcount = 3");
-        let keys: Vec<_> = idx.candidates(&probe2).into_iter().map(|d| d.key).collect();
-        assert!(keys.contains(&key(&wide)));
-        assert!(keys.contains(&key(&other_attr)));
-        assert!(!keys.contains(&key(&narrow)));
+        assert!(donates(&wide, &probe2));
+        assert!(donates(&other_attr, &probe2));
+        assert!(!donates(&narrow, &probe2));
+        assert!(
+            donates(&q("SELECT * FROM homes"), &probe2),
+            "no conditions subsume all"
+        );
     }
 
     #[test]
     fn exact_fingerprint_is_not_its_own_donor() {
-        let mut idx = ContainmentIndex::default();
         let wide = q("SELECT * FROM homes WHERE price <= 300000");
-        idx.insert(&key(&wide), &wide);
         // The exact-hit path owns identical fingerprints; containment
         // must only offer *other* entries.
-        assert!(idx.candidates(&wide).is_empty());
+        assert!(!donates(&wide, &wide));
     }
 
     #[test]
-    fn limited_queries_are_not_indexed() {
-        let mut idx = ContainmentIndex::default();
+    fn limited_queries_never_donate() {
         let limited = q("SELECT * FROM homes WHERE price <= 300000 LIMIT 5");
-        idx.insert(&key(&limited), &limited);
-        assert_eq!(idx.len(), 0);
-        assert!(idx
-            .candidates(&q("SELECT * FROM homes WHERE price <= 200000"))
-            .is_empty());
+        assert!(!donates(
+            &limited,
+            &q("SELECT * FROM homes WHERE price <= 200000")
+        ));
     }
 
     #[test]
     fn tables_are_disjoint() {
-        let mut idx = ContainmentIndex::default();
         let wide = q("SELECT * FROM homes WHERE price <= 300000");
-        idx.insert(&key(&wide), &wide);
         let mut probe = q("SELECT * FROM homes WHERE price <= 200000");
         probe.table = "condos".into();
-        assert!(idx.candidates(&probe).is_empty());
+        assert!(!donates(&wide, &probe));
     }
 
     #[test]
-    fn remove_and_sweep_unhook_donors() {
-        let mut idx = ContainmentIndex::default();
-        let wide = q("SELECT * FROM homes WHERE price <= 300000");
-        let all = q("SELECT * FROM homes");
-        idx.insert(&key(&wide), &wide);
-        idx.insert(&key(&all), &all);
-        assert_eq!(idx.len(), 2);
-        idx.remove("homes", &key(&wide));
-        assert_eq!(idx.len(), 1);
-        let probe = q("SELECT * FROM homes WHERE price <= 200000");
-        assert_eq!(idx.candidates(&probe).len(), 1);
-        idx.sweep(|_| false);
-        assert_eq!(idx.len(), 0);
-        assert!(idx.candidates(&probe).is_empty());
-        // Duplicate inserts do not double-count.
-        idx.insert(&key(&all), &all);
-        idx.insert(&key(&all), &all);
-        assert_eq!(idx.len(), 1);
-        idx.clear();
-        assert_eq!(idx.len(), 0);
-    }
-
-    #[test]
-    fn sorted_subset_edges() {
-        let a = |v: &[u32]| v.iter().map(|&x| AttrId(x)).collect::<Vec<_>>();
-        assert!(is_sorted_subset(&a(&[]), &a(&[1, 2])));
-        assert!(is_sorted_subset(&a(&[1]), &a(&[1, 2])));
-        assert!(is_sorted_subset(&a(&[1, 2]), &a(&[1, 2])));
-        assert!(!is_sorted_subset(&a(&[3]), &a(&[1, 2])));
-        assert!(!is_sorted_subset(&a(&[1, 2]), &a(&[1])));
-        assert!(!is_sorted_subset(&a(&[0]), &a(&[])));
+    fn signature_subset_edges() {
+        use qcat_data::AttrId;
+        use qcat_sql::AttrCondition;
+        let sig = |attrs: &[u32]| {
+            let mut query = q("SELECT * FROM homes");
+            for &a in attrs {
+                query
+                    .conditions
+                    .insert(AttrId(a), AttrCondition::InNum(vec![1.0]));
+            }
+            signature(&query)
+        };
+        let within = |a: u64, b: u64| a & !b == 0;
+        assert!(within(sig(&[]), sig(&[1, 2])));
+        assert!(within(sig(&[1]), sig(&[1, 2])));
+        assert!(within(sig(&[1, 2]), sig(&[1, 2])));
+        assert!(!within(sig(&[3]), sig(&[1, 2])));
+        assert!(!within(sig(&[1, 2]), sig(&[1])));
+        assert!(!within(sig(&[0]), sig(&[])));
+        // Attributes from 63 up share a bit: the mask lets them through
+        // to the full check rather than turn a donor away.
+        assert!(within(sig(&[70]), sig(&[64])));
+        assert!(within(sig(&[63, 100]), sig(&[63, 100])));
     }
 }

@@ -9,47 +9,47 @@
 //! literal variations normalize to the same query — so the natural
 //! deployment shape is a **server** that owns the relation, its
 //! secondary indexes, and the workload statistics, and memoizes the
-//! two expensive stages of the pipeline:
+//! two expensive stages of the pipeline in one answer cache:
 //!
 //! ```text
 //!   SQL ──parse/normalize──▶ fingerprint
 //!         │                      │
-//!         │              tree cache hit? ──▶ rendered CategoryTree
+//!         │      tree at this stats epoch? ──▶ rendered CategoryTree
+//!         │                      │ no
+//!         │  rows, or a tree of another epoch? ──▶ categorize + render
 //!         │                      │ miss
-//!         │            result cache hit? ──▶ categorize + render
-//!         │                      │ miss
-//!         │         containment donor live? ──▶ residual filter
-//!         │                      │ miss        + categorize + render
+//!         │        a cached answer subsumes it? ──▶ residual filter
+//!         │                      │ no            + categorize + render
 //!         └──▶ execute (index-accelerated) ──▶ categorize + render
 //! ```
 //!
-//! Both caches key on the [`fingerprint`](fingerprint::fingerprint)
+//! The cache keys on the [`fingerprint`](fingerprint::fingerprint)
 //! of the *normalized* query, so `price <= 2e5` and
-//! `PRICE <= 200000` share one entry, and both are **byte-budgeted**
-//! ([`ServerConfig::result_cache_bytes`],
-//! [`ServerConfig::tree_cache_bytes`]). A cold miss gets a second
-//! chance before executing: if a cached answer's query provably
-//! *subsumes* the new one (`qcat_sql::subsumes`), its rows are
-//! post-filtered with the residual conjuncts instead — byte-identical
-//! to cold execution at a fraction of the cost. Cached trees depend
-//! on the workload statistics; [`Server::log_queries`] absorbs new
-//! queries into them and bumps the table's stats **epoch**, which
-//! lazily invalidates that table's cached trees (see
-//! [`cache::EpochLru`]) while its cached result sets survive. Appends
-//! ([`Server::append_rows`]) evict only the entries whose predicates
-//! may intersect the new rows.
+//! `PRICE <= 200000` share one entry. Each fingerprint holds its answer
+//! once, under one LRU and one byte budget
+//! ([`ServerConfig::cache_bytes`]): first its rows, right after
+//! execution, then its finished tree, whose root slice is the same
+//! rows. A cold miss gets a second chance before executing: if a cached
+//! answer's query provably *subsumes* the new one
+//! (`qcat_sql::subsumes`), its rows are post-filtered with the residual
+//! conjuncts instead — byte-identical to cold execution at a fraction
+//! of the cost. Cached trees depend on the workload statistics;
+//! [`Server::log_queries`] absorbs new queries into them and bumps the
+//! table's stats **epoch**, after which that table's cached trees serve
+//! only as rows: re-categorized on a repeat, filtered as donors.
+//! Appends ([`Server::append_rows`]) evict only the answers whose
+//! predicates may intersect the new rows.
 //!
 //! The same workload log also *forecasts*: [`Server::speculate`]
 //! precomputes and pins the hottest queries' trees from a background
 //! pool while the server is idle (see [`speculate`]).
 
-pub mod cache;
+pub(crate) mod cache;
 pub(crate) mod containment;
 pub mod fingerprint;
 pub mod server;
 pub mod speculate;
 
-pub use cache::EpochLru;
 pub use fingerprint::fingerprint;
 pub use server::{
     AppendOutcome, Served, ServeError, ServeOutcome, Server, ServerConfig, SlowQuery,
@@ -127,7 +127,7 @@ mod tests {
         let first = s.serve("SELECT * FROM homes WHERE price <= 200000").unwrap();
         assert_eq!(first.outcome, ServeOutcome::Cold);
         // Different spelling, different case, reordered conjuncts —
-        // same normalized query, so the tree cache answers.
+        // same normalized query, so the cached tree answers.
         let second = s
             .serve("select * from HOMES where PRICE <= 2e5")
             .unwrap();
@@ -162,41 +162,55 @@ mod tests {
         assert_eq!(s.serve(sql).unwrap().outcome, ServeOutcome::TreeCacheHit);
     }
 
+    /// The one charge of an answer cached as a tree.
+    fn charge(served: &Served) -> usize {
+        served.tree.heap_bytes() + served.rendered.len()
+    }
+
+    #[test]
+    fn a_cached_tree_is_charged_once() {
+        let s = server();
+        let served = s.serve("SELECT * FROM homes WHERE price <= 300000").unwrap();
+        assert_eq!(served.outcome, ServeOutcome::Cold);
+        assert!(served.tree.node_count() > 1, "a real tree, not a root");
+        assert_eq!(s.cache_sizes(), (1, 1));
+        // The tree replaced the rows it was built from: its root slice
+        // holds them, and the fingerprint is charged exactly once.
+        let (rows, rest) = s.cache_bytes();
+        assert_eq!(rows + rest, charge(&served));
+        assert_eq!(rows, served.rows * 4);
+    }
+
     #[test]
     fn eviction_respects_byte_budget() {
-        let relation = homes(500);
+        let sqls: Vec<String> = (1..=4)
+            .map(|lo| format!("SELECT * FROM homes WHERE bedroomcount >= {lo}"))
+            .collect();
+        // One budget with room for the two smallest trees, not three.
+        let charges: Vec<usize> = sqls
+            .iter()
+            .map(|sql| charge(&server().serve(sql).unwrap()))
+            .collect();
+        let budget = charges[2] + charges[3];
+        let relation = homes(200);
         let prep = PreprocessConfig::new().infer_missing(&relation, 20);
         let s = Server::new(ServerConfig {
-            // Roughly two of the four result sets below fit; the tree
-            // cache is disabled so outcomes expose the result cache.
-            result_cache_bytes: 3000,
-            tree_cache_bytes: 0,
+            cache_bytes: budget,
             ..ServerConfig::default()
         });
         s.register_table("homes", relation, workload(), prep)
             .unwrap();
-        for lo in [1, 2, 3, 4] {
-            s.serve(&format!("SELECT * FROM homes WHERE bedroomcount >= {lo}"))
-                .unwrap();
+        for sql in &sqls {
+            s.serve(sql).unwrap();
+            let (rows, rest) = s.cache_bytes();
+            assert!(rows + rest <= budget, "over budget: {} > {budget}", rows + rest);
         }
-        let (result_bytes, tree_bytes) = s.cache_bytes();
-        assert!(result_bytes <= 3000, "result cache over budget: {result_bytes}");
-        assert_eq!(tree_bytes, 0, "tree cache is disabled");
-        // The most recent query's rows are still cached…
-        assert_eq!(
-            s.serve("SELECT * FROM homes WHERE bedroomcount >= 4")
-                .unwrap()
-                .outcome,
-            ServeOutcome::ResultCacheHit
-        );
-        // …and the oldest was evicted (and no surviving donor
-        // subsumes it, so it recomputes cold).
-        assert_eq!(
-            s.serve("SELECT * FROM homes WHERE bedroomcount >= 1")
-                .unwrap()
-                .outcome,
-            ServeOutcome::Cold
-        );
+        // Each refinement was filtered from the previous answer, which
+        // a donation does not keep as a tree: the older trees stepped
+        // down to their rows, and the newest answer is still a tree.
+        assert_eq!(s.cache_sizes(), (4, 1));
+        assert_eq!(s.serve(&sqls[3]).unwrap().outcome, ServeOutcome::TreeCacheHit);
+        assert_eq!(s.serve(&sqls[0]).unwrap().outcome, ServeOutcome::ResultCacheHit);
     }
 
     #[test]
@@ -300,7 +314,7 @@ mod tests {
         assert_eq!(outcome.evicted, 1, "{outcome:?}");
         assert_eq!(outcome.kept, 2, "{outcome:?}");
 
-        // Disjoint entries keep serving straight from the tree cache…
+        // Disjoint entries keep serving their cached trees…
         assert_eq!(s.serve(q_hood).unwrap().outcome, ServeOutcome::TreeCacheHit);
         assert_eq!(s.serve(q_low).unwrap().outcome, ServeOutcome::TreeCacheHit);
         // …and the intersecting one recomputes with the new row.
@@ -665,7 +679,7 @@ mod tests {
                     | ServeOutcome::TreeCacheHit)),
             "{outcomes:?}"
         );
-        // One fill populated both caches exactly once.
+        // One fill cached one answer, as its tree.
         assert_eq!(s.cache_sizes(), (1, 1));
     }
 }

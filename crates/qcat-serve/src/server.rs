@@ -1,15 +1,11 @@
 //! The serving loop: SQL in, cached category tree out.
 
-use crate::cache::EpochLru;
-use crate::containment::{Candidate, ContainmentIndex};
+use crate::cache::{Answer, AnswerCache};
 use crate::fingerprint::fingerprint;
 use crate::speculate::{SpecOutcome, SpeculateConfig, SpeculateReport};
 use qcat_core::{render_tree, CategorizeConfig, Categorizer, CategoryTree, DegradeReason};
-use qcat_data::{
-    AttrId, Catalog, DataError, IngestTable, Relation, SegmentSummary, Value,
-};
-use qcat_sql::AttrCondition;
-use qcat_exec::{execute, Donor, ExecError, ExecOptions, ResultSet};
+use qcat_data::{Catalog, DataError, IngestTable, Relation, Value};
+use qcat_exec::{execute, Donor, ExecError, ExecOptions};
 use qcat_fault::Budget;
 use qcat_pool::ThreadPool;
 use qcat_sql::{parse_select, NormalizedQuery};
@@ -68,12 +64,11 @@ impl From<qcat_sql::NormalizeError> for ServeError {
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Byte budget for the fingerprint → row-id cache (sum of each
-    /// entry's [`ResultSet::heap_bytes`]; `0` disables it).
-    pub result_cache_bytes: usize,
-    /// Byte budget for the fingerprint → rendered-tree cache (sum of
-    /// tree + rendering heap estimates; `0` disables it).
-    pub tree_cache_bytes: usize,
+    /// Byte budget of the answer cache: each fingerprint is charged
+    /// once, its rows' [`qcat_exec::ResultSet::heap_bytes`] or its
+    /// tree's [`CategoryTree::heap_bytes`] plus the rendering length
+    /// (`0` disables caching).
+    pub cache_bytes: usize,
     /// Categorization parameters, applied to every served query.
     pub categorize: CategorizeConfig,
     /// Depth limit for the cached ASCII rendering
@@ -102,8 +97,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            result_cache_bytes: 32 << 20,
-            tree_cache_bytes: 32 << 20,
+            cache_bytes: 64 << 20,
             categorize: CategorizeConfig::default(),
             render_depth: usize::MAX,
             budget: Budget::UNLIMITED,
@@ -139,14 +133,15 @@ pub struct SlowQuery {
 pub enum ServeOutcome {
     /// Executed and categorized from scratch.
     Cold,
-    /// Row ids came from the result cache; the tree was recomputed.
+    /// Row ids came from the answer cache (rows, or a tree built at an
+    /// older stats epoch); the tree was recomputed.
     ResultCacheHit,
     /// Row ids were derived from a cached **superset** answer whose
     /// query provably subsumes this one: the donor's rows were
     /// post-filtered with the residual conjuncts instead of executing
     /// from scratch (see `qcat_sql::subsumes`).
     ContainmentHit,
-    /// The fully rendered tree came straight from the tree cache.
+    /// The fully rendered tree came straight from the answer cache.
     TreeCacheHit,
     /// A concurrent cold miss of the same fingerprint was already
     /// computing; this request waited and shares its published tree.
@@ -167,6 +162,19 @@ pub struct Served {
     pub rows: usize,
     /// Which cache (if any) answered.
     pub outcome: ServeOutcome,
+}
+
+impl Served {
+    /// A cached tree and its rendering, served as `outcome`.
+    fn cached((tree, rendered): (Arc<CategoryTree>, Arc<String>), outcome: ServeOutcome) -> Self {
+        let rows = tree.tuples(qcat_core::NodeId::ROOT).len();
+        Served {
+            tree,
+            rendered,
+            rows,
+            outcome,
+        }
+    }
 }
 
 /// What one [`Server::append_rows`] call did.
@@ -197,184 +205,9 @@ struct TableState {
     /// cannot change what the query sees.
     ingest: Arc<IngestTable>,
     /// Bumped whenever `stats` absorbs new workload queries; guards
-    /// cached *trees*, which depend on the statistics. Result sets do
-    /// not, and appends evict both surgically instead of bumping it.
+    /// cached *trees*, which depend on the statistics. Rows do not,
+    /// and appends evict answers surgically instead of bumping it.
     stats_epoch: u64,
-}
-
-/// The one epoch the result cache is read and written at. Row ids do
-/// not depend on the workload statistics, and appends evict affected
-/// result sets surgically ([`Caches::invalidate_delta`]), so result
-/// entries never go stale by epoch.
-const RESULT_EPOCH: u64 = 0;
-
-/// The cached artifacts, both keyed by normalized-query fingerprint,
-/// plus the containment index over the result entries.
-struct Caches {
-    results: EpochLru<Arc<ResultSet>>,
-    trees: EpochLru<(Arc<CategoryTree>, Arc<String>)>,
-    containment: ContainmentIndex,
-    /// table → fingerprint → the normalized query behind every cached
-    /// artifact. Selective invalidation walks this to decide, per
-    /// entry, whether an appended batch can intersect its predicate.
-    /// Maintained lazily like the containment index: LRU-evicted keys
-    /// linger until a sweep.
-    queries: HashMap<String, HashMap<String, Arc<NormalizedQuery>>>,
-}
-
-impl Caches {
-    /// Publish the cache byte gauges (called after any mutation).
-    fn publish_gauges(&self) {
-        let result_bytes = self.results.bytes();
-        let tree_bytes = self.trees.bytes();
-        qcat_obs::gauge("serve.cache.bytes", (result_bytes + tree_bytes) as f64);
-        qcat_obs::gauge("serve.cache.result.bytes", result_bytes as f64);
-        qcat_obs::gauge("serve.cache.tree.bytes", tree_bytes as f64);
-    }
-
-    /// Cache a result set, charging its `heap_bytes` against the
-    /// result byte budget, and register it as a containment donor.
-    fn insert_result(&mut self, key: &str, query: &NormalizedQuery, result: &Arc<ResultSet>) {
-        self.results.insert(
-            key.to_string(),
-            Arc::clone(result),
-            RESULT_EPOCH,
-            result.heap_bytes(),
-        );
-        // Only index what actually cached (oversized entries are
-        // refused): the index must never point at rows the cache does
-        // not hold.
-        if self.results.contains_live(key, RESULT_EPOCH) {
-            self.containment.insert(key, query);
-        }
-        if self.containment.len() > self.results.len().saturating_mul(2) + 64 {
-            // Eviction unhooks donors lazily; sweep when the dangling
-            // fraction grows so the index stays proportional.
-            let (containment, results) = (&mut self.containment, &self.results);
-            containment.sweep(|k| results.has(k));
-        }
-        self.record_query(key, query);
-        self.publish_gauges();
-    }
-
-    /// Cache a finished tree + rendering, charging their combined
-    /// `heap_bytes` estimate against the tree byte budget.
-    fn insert_tree(
-        &mut self,
-        key: &str,
-        query: &NormalizedQuery,
-        tree: &Arc<CategoryTree>,
-        rendered: &Arc<String>,
-        epoch: u64,
-    ) {
-        let heap_bytes = tree.heap_bytes() + rendered.len();
-        self.trees.insert(
-            key.to_string(),
-            (Arc::clone(tree), Arc::clone(rendered)),
-            epoch,
-            heap_bytes,
-        );
-        self.record_query(key, query);
-        self.publish_gauges();
-    }
-
-    /// Remember which normalized query sits behind a cached key, and
-    /// sweep dangling records when the map outgrows the caches.
-    fn record_query(&mut self, key: &str, query: &NormalizedQuery) {
-        if !self.results.has(key) && !self.trees.has(key) {
-            // Nothing actually cached (zero budget, oversized entry):
-            // recording would leave a permanent dangling entry.
-            return;
-        }
-        let bucket = self.queries.entry(query.table.clone()).or_default();
-        if !bucket.contains_key(key) {
-            bucket.insert(key.to_string(), Arc::new(query.clone()));
-        }
-        let tracked: usize = self.queries.values().map(HashMap::len).sum();
-        if tracked > self.results.len() + self.trees.len() + 64 {
-            let (results, trees) = (&self.results, &self.trees);
-            for bucket in self.queries.values_mut() {
-                bucket.retain(|k, _| results.has(k) || trees.has(k));
-            }
-            self.queries.retain(|_, b| !b.is_empty());
-        }
-    }
-
-    /// Selective invalidation after an append to `table`: evict every
-    /// cached answer (result rows, tree, containment donor) whose
-    /// predicate *may* intersect the batch summarized by `delta`, and
-    /// keep the rest alive. Returns `(evicted, kept)`.
-    ///
-    /// Keeping is sound because appends only add rows: an entry whose
-    /// conjuncts provably exclude every appended row has an unchanged
-    /// answer (prefix row ids are stable across commits), and with
-    /// unchanged statistics its tree is unchanged too. Eviction is
-    /// conservative — any doubt (condition-free query, unknown
-    /// summary) evicts.
-    fn invalidate_delta(
-        &mut self,
-        table: &str,
-        relation: &Relation,
-        delta: &SegmentSummary,
-    ) -> (usize, usize) {
-        let Some(bucket) = self.queries.get_mut(table) else {
-            return (0, 0);
-        };
-        let dead: Vec<String> = bucket
-            .iter()
-            .filter(|(_, q)| !delta_disjoint(q, relation, delta))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in &dead {
-            bucket.remove(key);
-            self.results.remove(key);
-            self.trees.remove(key);
-            self.containment.remove(table, key);
-        }
-        let kept = bucket.len();
-        if bucket.is_empty() {
-            self.queries.remove(table);
-        }
-        self.publish_gauges();
-        (dead.len(), kept)
-    }
-}
-
-/// Does some conjunct of `query` provably exclude **every** row of the
-/// appended batch summarized by `delta` (a summary over exactly the
-/// new rows)?
-///
-/// - `IN` over strings resolves each value through the *committed*
-///   relation's dictionary; values the dictionary has never seen match
-///   nothing. The conjunct excludes the batch when none of its codes
-///   appear in the delta's code-presence bitmap.
-/// - Numeric `IN` / range conjuncts check the delta's min/max.
-/// - A query with no conditions matches everything: never disjoint.
-///
-/// Conservative in the safe direction: when the summary cannot prove
-/// absence the conjunct is treated as intersecting.
-fn delta_disjoint(
-    query: &NormalizedQuery,
-    relation: &Relation,
-    delta: &SegmentSummary,
-) -> bool {
-    query.conditions.iter().any(|(&attr, cond)| {
-        let a = attr.index();
-        match cond {
-            AttrCondition::InStr(values) => {
-                let Some(dict) = relation.column(attr).dictionary() else {
-                    return false;
-                };
-                let codes: Vec<u32> =
-                    values.iter().filter_map(|v| dict.lookup(v)).collect();
-                !delta.may_have_any_code(a, &codes)
-            }
-            AttrCondition::InNum(values) => !delta.may_have_value(a, values),
-            AttrCondition::Range(r) => {
-                !delta.may_overlap_range(a, r.lo, r.lo_inclusive, r.hi, r.hi_inclusive)
-            }
-        }
-    })
 }
 
 /// Where one single-flight fill stands.
@@ -479,27 +312,25 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A query-to-category-tree server.
 ///
 /// Owns a [`Catalog`] of indexed relations plus per-table workload
-/// statistics, and serves `SQL → CategoryTree` with two LRU caches in
-/// front of the pipeline:
+/// statistics, and serves `SQL → CategoryTree` with one byte-budgeted
+/// LRU answer cache in front of the pipeline. Each fingerprint holds
+/// its answer once: as rows right after execution, then as the
+/// finished tree, whose root slice is the same rows. A tree skips
+/// everything; rows skip execution.
 ///
-/// 1. a **tree cache** (fingerprint → rendered tree) that skips
-///    everything, and
-/// 2. a **result cache** (fingerprint → row ids) that skips parse +
-///    execution when only the categorization inputs changed.
-///
-/// Both caches key on the *normalized* query, so literal spellings,
+/// The cache keys on the *normalized* query, so literal spellings,
 /// conjunct order, and case differences all share one entry. Logging
 /// new workload queries ([`Server::log_queries`]) absorbs them into the
-/// statistics and bumps the table's stats epoch, which invalidates
-/// every cached tree for that table (trees depend on the statistics);
-/// cached result sets survive, because row ids do not depend on the
-/// workload. Appends ([`Server::append_rows`]) evict exactly the
-/// entries of either cache whose predicates may intersect the batch.
+/// statistics and bumps the table's stats epoch: the table's cached
+/// trees stop being servable (trees depend on the statistics) but keep
+/// serving as rows, because row ids do not depend on the workload.
+/// Appends ([`Server::append_rows`]) evict exactly the answers whose
+/// predicates may intersect the batch.
 pub struct Server {
     catalog: Catalog,
     config: ServerConfig,
     tables: Mutex<HashMap<String, TableState>>,
-    caches: Mutex<Caches>,
+    caches: Mutex<AnswerCache>,
     /// Single-flight slots for in-progress fills, by fingerprint.
     fills: Mutex<HashMap<String, Arc<FillSlot>>>,
     /// Cold fills currently computing (admission control).
@@ -515,12 +346,7 @@ impl Server {
             catalog: Catalog::new(),
             config,
             tables: Mutex::new(HashMap::new()),
-            caches: Mutex::new(Caches {
-                results: EpochLru::new(config.result_cache_bytes),
-                trees: EpochLru::new(config.tree_cache_bytes),
-                containment: ContainmentIndex::default(),
-                queries: HashMap::new(),
-            }),
+            caches: Mutex::new(AnswerCache::new(config.cache_bytes)),
             fills: Mutex::new(HashMap::new()),
             in_flight: AtomicUsize::new(0),
             slow_log: Mutex::new(VecDeque::new()),
@@ -540,7 +366,7 @@ impl Server {
         lock_recover(&self.tables)
     }
 
-    fn lock_caches(&self) -> MutexGuard<'_, Caches> {
+    fn lock_caches(&self) -> MutexGuard<'_, AnswerCache> {
         lock_recover(&self.caches)
     }
 
@@ -594,7 +420,7 @@ impl Server {
     /// Append freshly observed workload queries for `table`,
     /// incrementally absorb them into its statistics, and bump the
     /// **stats** epoch. Cached trees (which depend on the statistics)
-    /// go stale; cached result sets and containment donors survive —
+    /// go stale; they keep serving as rows and containment donors —
     /// row ids do not depend on the workload.
     ///
     /// The absorb is all-or-nothing: if the `workload.stats.delta`
@@ -698,29 +524,28 @@ impl Server {
         })
     }
 
-    /// Drop every cached result set and tree (measurement hook; stats
-    /// epochs and append sweeps handle correctness-driven
-    /// invalidation).
+    /// Drop every cached answer (measurement hook; stats epochs and
+    /// append sweeps handle correctness-driven invalidation).
     pub fn clear_caches(&self) {
-        let mut caches = self.lock_caches();
-        caches.results.clear();
-        caches.trees.clear();
-        caches.containment.clear();
-        caches.queries.clear();
-        caches.publish_gauges();
+        self.lock_caches().clear();
     }
 
-    /// Number of live entries in (result cache, tree cache).
+    /// (cached answers, answers holding a tree servable at its table's
+    /// current stats epoch).
     pub fn cache_sizes(&self) -> (usize, usize) {
-        let caches = self.lock_caches();
-        (caches.results.len(), caches.trees.len())
+        let epochs: HashMap<String, u64> = self
+            .lock_tables()
+            .iter()
+            .map(|(table, state)| (table.clone(), state.stats_epoch))
+            .collect();
+        self.lock_caches().sizes(|table| epochs.get(table).copied())
     }
 
-    /// Resident bytes in (result cache, tree cache) — the declared
-    /// heap estimates summed over resident entries.
+    /// Resident bytes of the answer cache, split as (row ids, the rest
+    /// of each entry's charge: tree, rendering, projection). The two
+    /// sum to the one budget's resident total.
     pub fn cache_bytes(&self) -> (usize, usize) {
-        let caches = self.lock_caches();
-        (caches.results.bytes(), caches.trees.bytes())
+        self.lock_caches().bytes()
     }
 
     /// Serve `sql`: parse, normalize, execute (index-accelerated when
@@ -823,20 +648,14 @@ impl Server {
         // (a temporary in the scrutinee) is dropped before the body
         // runs — scrutinee temporaries live to the end of the whole
         // `if let`/`match`, and re-locking inside would self-deadlock.
-        let tree_hit = self.lock_caches().trees.get(&key, stats_epoch);
-        if let Some((tree, rendered)) = tree_hit {
+        let tree_hit = self.lock_caches().tree(&key, stats_epoch);
+        if let Some(hit) = tree_hit {
             qcat_obs::counter("serve.cache.hit", 1);
             qcat_obs::counter("serve.cache.tree.hit", 1);
             if qcat_obs::active() {
                 span.set("outcome", "tree_hit");
             }
-            let rows = tree.node(qcat_core::NodeId::ROOT).tuple_count();
-            return Ok(Served {
-                tree,
-                rendered,
-                rows,
-                outcome: ServeOutcome::TreeCacheHit,
-            });
+            return Ok(Served::cached(hit, ServeOutcome::TreeCacheHit));
         }
         qcat_obs::counter("serve.cache.tree.miss", 1);
 
@@ -870,16 +689,7 @@ impl Server {
                     if qcat_obs::active() {
                         span.set("outcome", "shed");
                     }
-                    let mut tree = CategoryTree::new(relation.clone(), Vec::new());
-                    tree.mark_degraded(DegradeReason::Shed);
-                    let tree = Arc::new(tree);
-                    let rendered = Arc::new(render_tree(&tree, self.config.render_depth));
-                    return Ok(Served {
-                        tree,
-                        rendered,
-                        rows: 0,
-                        outcome: ServeOutcome::Shed,
-                    });
+                    return Ok(self.flat(&relation, DegradeReason::Shed, ServeOutcome::Shed));
                 }
                 FillRole::Follow(slot) => {
                     qcat_obs::counter("serve.singleflight.coalesced", 1);
@@ -895,19 +705,13 @@ impl Server {
                             })
                             .unwrap_or_else(|e| e.into_inner());
                     }
-                    let published = self.lock_caches().trees.get(&key, stats_epoch);
-                    if let Some((tree, rendered)) = published {
+                    let published = self.lock_caches().tree(&key, stats_epoch);
+                    if let Some(hit) = published {
                         qcat_obs::counter("serve.cache.hit", 1);
                         if qcat_obs::active() {
                             span.set("outcome", "coalesced");
                         }
-                        let rows = tree.node(qcat_core::NodeId::ROOT).tuple_count();
-                        return Ok(Served {
-                            tree,
-                            rendered,
-                            rows,
-                            outcome: ServeOutcome::Coalesced,
-                        });
+                        return Ok(Served::cached(hit, ServeOutcome::Coalesced));
                     }
                     // Leader failed, degraded, or the epoch moved:
                     // this fill never published — go again.
@@ -988,12 +792,13 @@ impl Server {
             Some(budget.start())
         };
         let compute = || -> Result<Served, ServeError> {
-            // Middle path: the row ids are cached; re-categorize only.
-            // The lookup is bound to a local first so the cache
+            // Middle path: the row ids are cached (as rows, or as a
+            // tree from another stats epoch); re-categorize only. The
+            // lookup is bound to a local first so the cache
             // `MutexGuard` (a temporary in the scrutinee) is dropped
             // before the body runs — re-locking inside the match would
             // self-deadlock.
-            let result_hit = self.lock_caches().results.get(key, RESULT_EPOCH);
+            let result_hit = self.lock_caches().result(key);
             let (result, outcome) = match result_hit {
                 Some(result) => {
                     qcat_obs::counter("serve.cache.result.hit", 1);
@@ -1004,13 +809,13 @@ impl Server {
                     qcat_obs::counter("serve.cache.result.miss", 1);
                     // Second chance: a cached *superset* answer whose
                     // query subsumes this one can donate its rows.
-                    let donor = self.containment_donor(query);
+                    let donor = self.lock_caches().donor(key, query);
                     if donor.is_none() {
                         qcat_obs::counter("serve.cache.miss", 1);
                     }
                     let opts = ExecOptions {
-                        donor: donor.as_ref().map(|(rows, residual)| Donor {
-                            rows: rows.rows(),
+                        donor: donor.as_ref().map(|(answer, residual)| Donor {
+                            rows: answer.rows(),
                             residual,
                         }),
                         ..ExecOptions::default()
@@ -1031,12 +836,12 @@ impl Server {
                         Err(e) => return Err(e.into()),
                     };
                     let outcome = match &donor {
-                        Some((donor_rows, _)) => {
+                        Some((donor, _)) => {
                             qcat_obs::counter("serve.cache.containment_hit", 1);
                             qcat_obs::counter("serve.cache.hit", 1);
                             qcat_obs::counter(
                                 "serve.containment.rows_donor",
-                                i64::try_from(donor_rows.len()).unwrap_or(i64::MAX),
+                                i64::try_from(donor.rows().len()).unwrap_or(i64::MAX),
                             );
                             qcat_obs::counter(
                                 "serve.containment.rows_out",
@@ -1046,7 +851,7 @@ impl Server {
                         }
                         None => ServeOutcome::Cold,
                     };
-                    // The answer is itself cached (and indexed), so
+                    // The answer is itself cached (and donates), so
                     // chains of refinements each filter their nearest
                     // superset. A racing serve of the same query at
                     // worst double-computes the same deterministic
@@ -1054,7 +859,7 @@ impl Server {
                     // the pinned snapshot.
                     let mut caches = self.lock_caches();
                     if self.still_current(ctx) {
-                        caches.insert_result(key, query, &result);
+                        caches.publish(key, query, Answer::Rows(Arc::clone(&result)));
                     }
                     drop(caches);
                     (result, outcome)
@@ -1081,7 +886,12 @@ impl Server {
             } else {
                 let mut caches = self.lock_caches();
                 if self.still_current(ctx) {
-                    caches.insert_tree(key, query, &tree, &rendered, stats_epoch);
+                    let answer = Answer::Tree {
+                        tree: Arc::clone(&tree),
+                        rendered: Arc::clone(&rendered),
+                        epoch: stats_epoch,
+                    };
+                    caches.publish(key, query, answer);
                 }
             }
             Ok(Served {
@@ -1095,33 +905,6 @@ impl Server {
             Some(g) => qcat_fault::with_budget(g, compute),
             None => compute(),
         }
-    }
-
-    /// Containment probe for a cold miss: the smallest **live** cached
-    /// answer whose query provably subsumes `query`, with the residual
-    /// attributes its rows must still be filtered by. `None` when no
-    /// live donor exists; index entries found dangling along the way
-    /// (rows the result cache LRU-evicted) are unhooked.
-    fn containment_donor(
-        &self,
-        query: &NormalizedQuery,
-    ) -> Option<(Arc<ResultSet>, Vec<AttrId>)> {
-        let mut caches = self.lock_caches();
-        let candidates = caches.containment.candidates(query);
-        let mut best: Option<(Arc<ResultSet>, Candidate)> = None;
-        for cand in candidates {
-            match caches.results.get(&cand.key, RESULT_EPOCH) {
-                // The smallest donor filters the fewest rows.
-                Some(rows) => {
-                    if best.as_ref().map_or(true, |(b, _)| rows.len() < b.len()) {
-                        best = Some((rows, cand));
-                    }
-                }
-                None => caches.containment.remove(&query.table, &cand.key),
-            }
-        }
-        drop(caches);
-        best.map(|(rows, cand)| (rows, qcat_sql::residual_attrs(&cand.query, query)))
     }
 
     /// One idle-time speculative precomputation pass over `table`:
@@ -1176,7 +959,7 @@ impl Server {
                 if targets.len() >= cfg.max_fills {
                     break;
                 }
-                if caches.trees.contains_live(&key, stats_epoch) {
+                if caches.has_tree(&key, stats_epoch) {
                     report.already_cached += 1;
                     continue;
                 }
@@ -1302,6 +1085,11 @@ impl Server {
     fn degraded_flat(&self, relation: &Relation, reason: DegradeReason) -> Served {
         qcat_obs::counter("serve.degraded", 1);
         qcat_obs::event!("serve.degraded", reason = reason.as_str(), rows = 0usize);
+        self.flat(relation, reason, ServeOutcome::Cold)
+    }
+
+    /// A root-only tree with no rows, degraded for `reason`.
+    fn flat(&self, relation: &Relation, reason: DegradeReason, outcome: ServeOutcome) -> Served {
         let mut tree = CategoryTree::new(relation.clone(), Vec::new());
         tree.mark_degraded(reason);
         let tree = Arc::new(tree);
@@ -1310,18 +1098,18 @@ impl Server {
             tree,
             rendered,
             rows: 0,
-            outcome: ServeOutcome::Cold,
+            outcome,
         }
     }
 }
 
 impl fmt::Debug for Server {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (results, trees) = self.cache_sizes();
+        let (answers, trees) = self.cache_sizes();
         f.debug_struct("Server")
             .field("tables", &self.catalog.table_names())
-            .field("result_cache", &results)
-            .field("tree_cache", &trees)
+            .field("cached_answers", &answers)
+            .field("cached_trees", &trees)
             .finish()
     }
 }

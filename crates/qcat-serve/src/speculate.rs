@@ -64,7 +64,7 @@ pub struct SpeculateReport {
     pub considered: usize,
     /// Skipped: the tree was already cached for the current epoch.
     pub already_cached: usize,
-    /// Trees computed and pinned into the tree cache.
+    /// Trees computed and pinned into the answer cache.
     pub filled: usize,
     /// Fills that degraded (degraded trees are never cached).
     pub degraded: usize,

@@ -19,6 +19,18 @@ echo "==> perfbench build (compile-only: the benchmark links the library API)"
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
     --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench output check (cached answers vs cleared-cache cold recomputes)"
+# A one-second run of each workload ends with the benchmark's own
+# output check: every distinct query is re-served on cleared caches
+# and compared byte for byte with what the warm caches served. Its
+# last line must report a correct run with no failed operation.
+for w in explore revisit ingest; do
+    last=$(./target/perfbench/release/qcat-perfbench --workload "$w" --seed 1 \
+        --seconds 1 --out target/perfbench-check | tail -n 1)
+    grep -q '"correct": true' <<< "$last"
+    grep -q '"failed": 0,' <<< "$last"
+done
+
 echo "==> qcat-lint (L1-L10 + audit self-check)"
 cargo run --release -p qcat-lint -- --workspace
 
@@ -157,4 +169,4 @@ for w in 1 8; do
         cargo test -q --release --test ingest_stress > /dev/null
 done
 
-echo "OK: build + lint + docs + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"
+echo "OK: build + perfbench output check + lint + docs + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"

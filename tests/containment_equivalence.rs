@@ -6,6 +6,7 @@
 //! degenerate point ranges, stale donors), and under a fault storm
 //! with concurrent speculation.
 
+use qcat::core::NodeId;
 use qcat::fault::FaultPlan;
 use qcat::serve::{ServeOutcome, Served, Server, ServerConfig, SpeculateConfig};
 use qcat::study::{StudyEnv, StudyScale};
@@ -171,13 +172,13 @@ fn point_range_refinement_is_contained() {
     assert_eq!(served.rows, reference.rows);
 }
 
-/// Stats refreshes are surgical since the epoch split: a workload
-/// append rebuilds the statistics — staling every cached *tree*,
-/// which depends on them — but cached result sets (donors included)
-/// are keyed by the data epoch and survive. The refinement repeats
-/// as a result-cache hit whose tree is re-rendered from the
-/// surviving rows, and with an unchanged log the bytes must not
-/// change; the surviving donor keeps answering fresh refinements.
+/// Stats refreshes are surgical: a workload append rebuilds the
+/// statistics — staling every cached *tree*, which depends on them —
+/// but the rows those trees hold (donors included) do not depend on
+/// the workload and keep serving. The refinement repeats as a
+/// result-cache hit whose tree is re-rendered from the surviving
+/// rows, and with an unchanged log the bytes must not change; the
+/// surviving donor keeps answering fresh refinements.
 #[test]
 fn donors_survive_a_stats_refresh_byte_identically() {
     let env = env();
@@ -214,6 +215,42 @@ fn donors_survive_a_stats_refresh_byte_identically() {
     let reference = cold_reference(&env, tighter);
     assert_eq!(served.rendered, reference.rendered);
     assert_eq!(served.rows, reference.rows);
+}
+
+/// A cached tree holds its answer's rows once, grouped by category,
+/// and keeps donating them after a stats refresh stops it being
+/// served. On a multi-segment table with a multi-level tree the
+/// donor slice is not in table order; the refinement must still be a
+/// containment hit, byte-identical to a cleared-cache cold serve.
+#[test]
+fn stale_trees_donate_their_grouped_rows_byte_identically() {
+    let env = env();
+    let sharded = env.relation.resharded(512).unwrap();
+    assert!(sharded.shards().shard_count() > 4);
+    let mut config = ServerConfig::default();
+    config.categorize = env.config;
+    let server = Server::new(config);
+    server
+        .register_table("listproperty", sharded, env.log.clone(), env.prep.clone())
+        .unwrap();
+
+    let broad = server.serve(CHAIN[0]).unwrap();
+    assert_eq!(broad.outcome, ServeOutcome::Cold);
+    assert!(broad.tree.depth() >= 2, "a multi-level tree");
+    assert!(
+        !broad.tree.tuples(NodeId::ROOT).is_sorted(),
+        "the donor slice is grouped by category, not in table order"
+    );
+
+    server.log_queries("listproperty", Vec::new()).unwrap();
+    assert_eq!(server.cache_sizes(), (1, 0), "resident, no longer servable");
+    let refined = server.serve(CHAIN[1]).unwrap();
+    assert_eq!(refined.outcome, ServeOutcome::ContainmentHit);
+    server.clear_caches();
+    let cold = server.serve(CHAIN[1]).unwrap();
+    assert_eq!(cold.outcome, ServeOutcome::Cold);
+    assert_eq!(refined.rendered, cold.rendered);
+    assert_eq!(refined.rows, cold.rows);
 }
 
 /// Limited answers must never donate: a LIMIT query's cached rows are
