@@ -15,6 +15,15 @@
 //! `--out` names a path, so committing a `BENCH_pr<N>.json` is always
 //! an explicit choice.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "L5, L1: a benchmark binary owns its console and fails loudly on a broken setup"
+)]
+
 use qcat_bench::{
     bench_env_at, json_escape, json_num, large_tier_dims, summarize, write_report, BenchEnv,
     Summary,

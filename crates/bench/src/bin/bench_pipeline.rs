@@ -54,6 +54,15 @@
 //! `--out` names a path, so committing a `BENCH_pr<N>.json` is always
 //! an explicit choice.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "L5, L1: a benchmark binary owns its console and fails loudly on a broken setup"
+)]
+
 use qcat_bench::{
     bench_env, fnv1a_rows, json_escape, json_num, large_tier_dims, summarize, write_report,
     Summary,
@@ -361,8 +370,10 @@ fn run_smoke(args: &Args) {
     // so each request exercises the full fill; every request must end
     // in one of the accounted buckets or the report is marked bad.
     let chaos_queries = sample.len().min(40);
-    let mut chaos_config = ServerConfig::default();
-    chaos_config.budget = qcat_fault::Budget::UNLIMITED.with_max_nodes(6);
+    let chaos_config = ServerConfig {
+        budget: qcat_fault::Budget::UNLIMITED.with_max_nodes(6),
+        ..ServerConfig::default()
+    };
     let chaos_server = Server::new(chaos_config);
     chaos_server
         .register_table(
@@ -403,45 +414,45 @@ fn run_smoke(args: &Args) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pipeline\",\n  \"scale\": \"smoke\",\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"schema_version\": {}, \"git\": \"{}\",\n",
+        "  \"schema_version\": {}, \"git\": \"{}\",",
         qcat_bench::BENCH_SCHEMA_VERSION,
         json_escape(&qcat_bench::git_describe())
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"rows\": {},\n",
+        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"rows\": {},",
         args.seed, runs, cores, n
     );
-    let _ = write!(out, "  \"index_heap_bytes\": {},\n", index_bytes);
-    let _ = write!(
+    let _ = writeln!(out, "  \"index_heap_bytes\": {},", index_bytes);
+    let _ = writeln!(
         out,
-        "  \"exec_probe\": {{\"rows\": {}, \"selectivity\": {}}},\n",
+        "  \"exec_probe\": {{\"rows\": {}, \"selectivity\": {}}},",
         exec_rows,
         json_num(exec_sel)
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"serve_probe\": {{\"rows\": {}, \"selectivity\": {}}},\n",
+        "  \"serve_probe\": {{\"rows\": {}, \"selectivity\": {}}},",
         serve_rows,
         json_num(serve_sel)
     );
     out.push_str("  \"access_path\": [\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    {{\"path\": \"scan\", \"summary\": {}}},\n",
+        "    {{\"path\": \"scan\", \"summary\": {}}},",
         summary_json(&scan)
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    {{\"path\": \"index\", \"summary\": {}, \"speedup_vs_scan\": {}}}\n",
+        "    {{\"path\": \"index\", \"summary\": {}, \"speedup_vs_scan\": {}}}",
         summary_json(&index),
         json_num(index_speedup)
     );
     out.push_str("  ],\n");
     out.push_str("  \"serve\": {\n");
-    let _ = write!(out, "    \"cold\": {},\n", summary_json(&cold));
+    let _ = writeln!(out, "    \"cold\": {},", summary_json(&cold));
     let _ = write!(
         out,
         "    \"warm\": {},\n    \"warm_speedup\": {}\n",
@@ -449,16 +460,16 @@ fn run_smoke(args: &Args) {
         json_num(warm_speedup)
     );
     out.push_str("  },\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"differential\": {{\"queries\": {}, \"paths\": [\"auto\", \"force_index\"], \"mismatches\": {}, \"status\": \"{}\"}},\n",
+        "  \"differential\": {{\"queries\": {}, \"paths\": [\"auto\", \"force_index\"], \"mismatches\": {}, \"status\": \"{}\"}},",
         sample.len(),
         mismatches,
         diff_status
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"chaos\": {{\"queries\": {}, \"ok\": {}, \"degraded\": {}, \"shed\": {}, \"errors\": {}, \"status\": \"{}\"}}\n",
+        "  \"chaos\": {{\"queries\": {}, \"ok\": {}, \"degraded\": {}, \"shed\": {}, \"errors\": {}, \"status\": \"{}\"}}",
         chaos_queries, chaos_ok, chaos_degraded, chaos_shed, chaos_errors, chaos_status
     );
     out.push_str("}\n");
@@ -714,45 +725,45 @@ fn run_refinement(args: &Args) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pipeline\",\n  \"scale\": \"refinement\",\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"schema_version\": {}, \"git\": \"{}\",\n",
+        "  \"schema_version\": {}, \"git\": \"{}\",",
         qcat_bench::BENCH_SCHEMA_VERSION,
         json_escape(&qcat_bench::git_describe())
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"rows\": {},\n",
+        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"rows\": {},",
         args.seed, runs, cores, n
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"chains\": {}, \"chain_queries\": {},\n",
+        "  \"chains\": {}, \"chain_queries\": {},",
         chains.len(),
         total_queries
     );
     out.push_str("  \"refinement\": {\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    \"counts\": {{\"exact_hit\": {}, \"containment_hit\": {}, \"cold\": {}, \"other\": {}}},\n",
+        "    \"counts\": {{\"exact_hit\": {}, \"containment_hit\": {}, \"cold\": {}, \"other\": {}}},",
         exact_hits, containment_hits, colds, other
     );
-    let _ = write!(out, "    \"exact_hit\": {},\n", summary_json(&exact));
-    let _ = write!(out, "    \"containment_hit\": {},\n", summary_json(&contain));
-    let _ = write!(out, "    \"cold\": {},\n", summary_json(&cold));
+    let _ = writeln!(out, "    \"exact_hit\": {},", summary_json(&exact));
+    let _ = writeln!(out, "    \"containment_hit\": {},", summary_json(&contain));
+    let _ = writeln!(out, "    \"cold\": {},", summary_json(&cold));
     let _ = write!(
         out,
         "    \"containment_speedup\": {}\n  }},\n",
         json_num(containment_speedup)
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"containment\": {{\"queries\": {}, \"mismatches\": {}, \"status\": \"{}\"}},\n",
+        "  \"containment\": {{\"queries\": {}, \"mismatches\": {}, \"status\": \"{}\"}},",
         checked, mismatches, contain_status
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"speculation\": {{\"considered\": {}, \"filled\": {}, \"already_cached\": {}, \"degraded\": {}, \"tree_hits_after\": {}, \"status\": \"{}\"}},\n",
+        "  \"speculation\": {{\"considered\": {}, \"filled\": {}, \"already_cached\": {}, \"degraded\": {}, \"tree_hits_after\": {}, \"status\": \"{}\"}},",
         report.considered,
         report.filled,
         report.already_cached,
@@ -760,9 +771,9 @@ fn run_refinement(args: &Args) {
         spec_tree_hits,
         spec_status
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"counters\": {{\"serve.cache.containment_hit\": {}, \"serve.containment.rows_donor\": {}, \"serve.containment.rows_out\": {}, \"serve.cache.result.miss\": {}, \"serve.cache.hit\": {}}}\n",
+        "  \"counters\": {{\"serve.cache.containment_hit\": {}, \"serve.containment.rows_donor\": {}, \"serve.containment.rows_out\": {}, \"serve.cache.result.miss\": {}, \"serve.cache.hit\": {}}}",
         counter("serve.cache.containment_hit"),
         counter("serve.containment.rows_donor"),
         counter("serve.containment.rows_out"),
@@ -913,35 +924,35 @@ fn run_ingest(args: &Args) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pipeline\",\n  \"scale\": \"ingest\",\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"schema_version\": {}, \"git\": \"{}\",\n",
+        "  \"schema_version\": {}, \"git\": \"{}\",",
         qcat_bench::BENCH_SCHEMA_VERSION,
         json_escape(&qcat_bench::git_describe())
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"rows\": {},\n",
+        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"rows\": {},",
         args.seed, runs, cores, n
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"warmed\": {}, \"batch_rows\": {},\n",
+        "  \"warmed\": {}, \"batch_rows\": {},",
         warmed,
         batch.len()
     );
     out.push_str("  \"ingest\": {\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    \"appends\": {}, \"rows_appended\": {},\n",
+        "    \"appends\": {}, \"rows_appended\": {},",
         runs, rows_appended
     );
-    let _ = write!(out, "    \"append\": {},\n", summary_json(&append));
+    let _ = writeln!(out, "    \"append\": {},", summary_json(&append));
     out.push_str("    \"commit_sweep\": [\n");
     for (i, e) in sweep.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "      {{\"base_rows\": {}, \"runs\": {}, \"commit\": {}, \"noise_ms\": {}}}{}\n",
+            "      {{\"base_rows\": {}, \"runs\": {}, \"commit\": {}, \"noise_ms\": {}}}{}",
             e.base_rows,
             e.runs,
             summary_json(&e.commit),
@@ -950,15 +961,15 @@ fn run_ingest(args: &Args) {
         );
     }
     out.push_str("    ],\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    \"evicted\": {}, \"kept\": {}, \"mismatches\": {}, \"status\": \"{}\"\n",
+        "    \"evicted\": {}, \"kept\": {}, \"mismatches\": {}, \"status\": \"{}\"",
         evicted_total, kept_total, mismatches, ingest_status
     );
     out.push_str("  },\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"retention\": {{\"queries\": {}, \"selective_live\": {}, \"status\": \"{}\"}}\n",
+        "  \"retention\": {{\"queries\": {}, \"selective_live\": {}, \"status\": \"{}\"}}",
         warmed, selective_live, retention_status
     );
     out.push_str("}\n");
@@ -1338,15 +1349,15 @@ fn run_large(args: &Args) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pipeline\",\n  \"scale\": \"large\",\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"schema_version\": {}, \"git\": \"{}\",\n",
+        "  \"schema_version\": {}, \"git\": \"{}\",",
         qcat_bench::BENCH_SCHEMA_VERSION,
         json_escape(&qcat_bench::git_describe())
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"degraded\": {},\n",
+        "  \"seed\": {}, \"runs\": {}, \"cores\": {}, \"degraded\": {},",
         args.seed,
         runs,
         cores,
@@ -1354,26 +1365,26 @@ fn run_large(args: &Args) {
         // shared hardware: emit the columns, but flag the report.
         cores <= 1
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"rows\": {}, \"workload_queries\": {}, \"shard_rows\": {}, \"shards\": {},\n",
+        "  \"rows\": {}, \"workload_queries\": {}, \"shard_rows\": {}, \"shards\": {},",
         n, workload_queries, shard_rows, shards
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"gen_seconds\": {}, \"index_heap_bytes\": {},\n",
+        "  \"gen_seconds\": {}, \"index_heap_bytes\": {},",
         json_num(gen_seconds),
         index_bytes
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"broad_probe\": {{\"rows\": {}, \"selectivity\": {}}},\n",
+        "  \"broad_probe\": {{\"rows\": {}, \"selectivity\": {}}},",
         broad_rows,
         json_num(broad_rows as f64 / n as f64)
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"exec_probe\": {{\"rows\": {}, \"selectivity\": {}}},\n",
+        "  \"exec_probe\": {{\"rows\": {}, \"selectivity\": {}}},",
         sel_rows,
         json_num(sel_rows as f64 / n as f64)
     );
@@ -1382,46 +1393,46 @@ fn run_large(args: &Args) {
     out.push_str("  ],\n  \"scan\": [\n");
     out.push_str(&sweep_json(&scan_entries));
     out.push_str("  ],\n  \"access_path\": [\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    {{\"path\": \"scan\", \"summary\": {}}},\n",
+        "    {{\"path\": \"scan\", \"summary\": {}}},",
         summary_json(&sel_scan_summary)
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "    {{\"path\": \"index\", \"summary\": {}, \"speedup_vs_scan\": {}, \"shards_pruned\": {}}}\n",
+        "    {{\"path\": \"index\", \"summary\": {}, \"speedup_vs_scan\": {}, \"shards_pruned\": {}}}",
         summary_json(&auto_summary),
         json_num(index_speedup),
         sel_explain.shards_pruned
     );
     out.push_str("  ],\n");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"pruning\": {{\"queries\": {}, \"queries_pruned\": {}, \"shards_pruned_total\": {}}},\n",
+        "  \"pruning\": {{\"queries\": {}, \"queries_pruned\": {}, \"shards_pruned_total\": {}}},",
         sample.len(),
         queries_pruned,
         shards_pruned_total
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"determinism\": {{\"scan_runs_hashed\": {}, \"mismatches\": {}, \"row_hash\": \"{:#018x}\", \"status\": \"{}\"}},\n",
+        "  \"determinism\": {{\"scan_runs_hashed\": {}, \"mismatches\": {}, \"row_hash\": \"{:#018x}\", \"status\": \"{}\"}},",
         (1 + sweep.len()) * runs,
         det_mismatches,
         det_hash.unwrap_or(0),
         det_status
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"differential\": {{\"queries\": {}, \"paths\": [\"auto\", \"force_scan\", \"force_index\"], \"threads\": [1, 8], \"mismatches\": {}, \"status\": \"{}\"}},\n",
+        "  \"differential\": {{\"queries\": {}, \"paths\": [\"auto\", \"force_scan\", \"force_index\"], \"threads\": [1, 8], \"mismatches\": {}, \"status\": \"{}\"}},",
         sample.len(),
         mismatches,
         diff_status
     );
     out.push_str("  \"phases\": [\n");
     for (j, p) in phases.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"count\": {}, \"mean_ms\": {}, \"median_ms\": {}, \"p95_ms\": {}, \"total_ms\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"count\": {}, \"mean_ms\": {}, \"median_ms\": {}, \"p95_ms\": {}, \"total_ms\": {}}}{}",
             json_escape(&p.name),
             p.count,
             json_num(p.mean_ns / 1e6),

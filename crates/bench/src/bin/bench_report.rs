@@ -16,6 +16,15 @@
 //! usage errors. `--out` additionally writes the rendered tables to a
 //! file (the CI artifact).
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "L5, L1: a benchmark binary owns its console and fails loudly on a broken setup"
+)]
+
 use qcat_bench::report::{check, parse_bench_file, render, DEFAULT_MAX_REGRESSION_PCT};
 use std::path::PathBuf;
 use std::process::ExitCode;

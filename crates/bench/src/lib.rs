@@ -7,6 +7,13 @@
 //! docs/PERFORMANCE.md for the methodology and the `BENCH_*.json`
 //! schema.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "L1: benchmark fixtures fail loudly on a broken setup"
+)]
+
 use qcat_exec::{ExecOptions, ResultSet};
 use qcat_sql::NormalizedQuery;
 use qcat_study::{broaden_query, StudyEnv, StudyScale};

@@ -188,7 +188,6 @@ fn build(
 
 /// Partition every node of `s` the No-cost way; `None` when the
 /// attribute cannot split any node into ≥ 2 categories.
-#[allow(clippy::too_many_arguments)]
 fn partition_level(
     stats: &WorkloadStatistics,
     baseline: &BaselineConfig,

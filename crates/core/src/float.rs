@@ -1,10 +1,10 @@
 //! Total-order and tolerance helpers for `f64` comparisons.
 //!
-//! Lint rule L2 (see `docs/LINTS.md`) bans `partial_cmp(..).unwrap()`
-//! and raw `==`/`!=` on floats in cost/order/rank/partition code: both
-//! silently misbehave on NaN, and NaN *does* arise there (0/0 goodness
-//! ratios, empty-bucket statistics). These helpers make the intended
-//! semantics explicit at the call site.
+//! Lint rule L2 (clippy's `float_cmp`, plus `unwrap_used` for
+//! `partial_cmp(..).unwrap()`; see `docs/LINTS.md`) bans both in every
+//! crate: they silently misbehave on NaN, and NaN *does* arise in the
+//! cost model (0/0 goodness ratios, empty-bucket statistics). These
+//! helpers make the intended semantics explicit at the call site.
 
 use std::cmp::Ordering;
 

@@ -413,8 +413,7 @@ impl NumericPlan {
             BucketCount::Auto { .. } => best_prefix_by_cost(
                 counts.n,
                 &chosen,
-                vmin,
-                vmax,
+                (vmin, vmax),
                 self.attr,
                 config,
                 probs,
@@ -504,12 +503,11 @@ pub(crate) fn single_bucket(
 
 /// For `Auto` bucket counts: evaluate every prefix of the accepted
 /// splits with the one-level cost model and keep the cheapest.
-#[allow(clippy::too_many_arguments)]
+/// `domain` is the level's `(vmin, vmax)`.
 fn best_prefix_by_cost(
     n: usize,
     accepted: &[(f64, usize)],
-    vmin: f64,
-    vmax: f64,
+    domain: (f64, f64),
     attr: AttrId,
     config: &CategorizeConfig,
     probs: &ProbCache<'_>,
@@ -520,7 +518,7 @@ fn best_prefix_by_cost(
         let mut splits: Vec<(f64, usize)> = accepted[..take].to_vec();
         splits.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let (values, below): (Vec<f64>, Vec<usize>) = splits.into_iter().unzip();
-        let children: Vec<(f64, usize)> = bucket_ranges(&values, vmin, vmax)
+        let children: Vec<(f64, usize)> = bucket_ranges(&values, domain.0, domain.1)
             .zip(bucket_sizes(&below, n))
             .map(|(range, count)| (probs.p_explore_range(attr, &range), count))
             .collect();
@@ -809,7 +807,10 @@ mod tests {
     /// priced children)` or `None` when no split is possible.
     type Reference = Option<(Vec<f64>, f64, f64, Vec<(f64, usize)>)>;
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the reference takes every input the production pricer does"
+    )]
     fn sorted_reference(
         stats: &WorkloadStatistics,
         rel: &Relation,

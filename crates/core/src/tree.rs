@@ -525,7 +525,7 @@ impl CategoryTree {
             if !(0.0..=1.0).contains(&node.p_explore) || !(0.0..=1.0).contains(&node.p_showtuples) {
                 return Err(format!("{id} has probabilities outside [0,1]"));
             }
-            if node.is_leaf() && node.p_showtuples != 1.0 {
+            if node.is_leaf() && !crate::float::same(node.p_showtuples, 1.0) {
                 return Err(format!("leaf {id} must have Pw = 1"));
             }
         }

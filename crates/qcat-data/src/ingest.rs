@@ -75,6 +75,10 @@ pub struct IngestTable {
 /// lock while the snapshot still holds consistent pre-batch state.
 ///
 /// [`TailAppend::commit`]: crate::relation::TailAppend::commit
+#[allow(
+    clippy::disallowed_methods,
+    reason = "L7: the ingest table's one poison-recovering lock helper"
+)]
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }

@@ -213,6 +213,10 @@ impl SegmentSummary {
     ///
     /// Conservative: `true` when no numeric bounds are known, unless
     /// the rows are provably empty.
+    #[allow(
+        clippy::float_cmp,
+        reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+    )]
     pub fn may_overlap_range(
         &self,
         attr: usize,

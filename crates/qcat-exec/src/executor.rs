@@ -158,7 +158,9 @@ pub fn execute(
         rows.sort_unstable();
     }
     if let Some(n) = query.limit {
+        // The answer caches charge capacity as if it were rows.
         rows.truncate(n);
+        rows.shrink_to_fit();
     }
     Ok(ResultSet::new(
         relation.clone(),
@@ -429,6 +431,29 @@ mod tests {
         let cold = execute_cold(&relation, &tight).unwrap();
         assert_eq!(via_cache.rows(), cold.rows());
         assert_eq!(via_cache.projection(), cold.projection());
+    }
+
+    #[test]
+    fn answers_hold_no_spare_capacity() {
+        let schema = Schema::new(vec![Field::new("price", AttrType::Float)]).unwrap();
+        let mut b = RelationBuilder::with_capacity(schema.clone(), 1000);
+        for i in 0..1000 {
+            b.push_row(&[f64::from(i).into()]).unwrap();
+        }
+        let relation = b.finish().unwrap();
+        let all: Vec<u32> = (0..1000).collect();
+        let tight =
+            qcat_sql::parse_and_normalize("SELECT * FROM t WHERE price < 10", &schema).unwrap();
+        let limited = qcat_sql::parse_and_normalize("SELECT * FROM t LIMIT 10", &schema).unwrap();
+        let attrs = [qcat_data::AttrId(0)];
+        for (case, answer) in [
+            ("donor", via_donor(&relation, &tight, &all, &attrs).unwrap()),
+            ("limit", execute_cold(&relation, &limited).unwrap()),
+        ] {
+            assert_eq!(answer.len(), 10, "{case}");
+            let row_bytes = answer.len() * std::mem::size_of::<u32>();
+            assert!(answer.heap_bytes() <= row_bytes + 16, "{case}: {} bytes", answer.heap_bytes());
+        }
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! Estimation (`qcat-core`) and measurement (this crate) deliberately
 //! share no code: comparing them is the experiment.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "L1: offline simulators; their expects guard tree shapes the categorizer guarantees"
+)]
+
 pub mod noisy;
 pub mod oracle;
 pub mod relevance;

@@ -236,6 +236,7 @@ impl FaultPlan {
 
     /// Evaluate every rule armed at `site`; applies delay/alloc/panic
     /// kinds in place and returns a [`Fault`] for a fired error rule.
+    #[allow(clippy::panic, reason = "L1: a `panic` fault rule panics on purpose")]
     fn fire(&self, site: &'static str) -> Option<Fault> {
         let mut out = None;
         for rule in self.rules.iter() {

@@ -289,7 +289,7 @@ pub fn extract_calls(toks: &[Token], start: usize, end: usize) -> Vec<Call> {
             i += 1;
             continue;
         }
-        if !toks.get(i + 1).is_some_and(|n| n.text == "(") {
+        if toks.get(i + 1).is_none_or(|n| n.text != "(") {
             i += 1;
             continue;
         }

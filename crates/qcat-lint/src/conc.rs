@@ -120,22 +120,28 @@ enum GuardSource {
     Param,
 }
 
+/// An acquisition site: (file index, line).
+type Site = (usize, usize);
+
 fn lock_order(table: &SymbolTable, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
     let sources = guard_sources(table, graph);
 
     // Per-function acquisition events (non-test only — production
     // code never runs under test-only lock patterns).
     let n = table.fns.len();
-    let mut acqs: Vec<Vec<Acq>> = vec![Vec::new(); n];
-    for f in 0..n {
-        if !table.fns[f].is_test {
-            acqs[f] = fn_acqs(table, graph, &sources, f);
-        }
-    }
+    let acqs: Vec<Vec<Acq>> = (0..n)
+        .map(|f| {
+            if table.fns[f].is_test {
+                Vec::new()
+            } else {
+                fn_acqs(table, graph, &sources, f)
+            }
+        })
+        .collect();
 
     // AcqSet(f): locks acquired by f or any callee, with one
     // representative acquisition site each.
-    let mut sets: Vec<HashMap<LockId, (usize, usize)>> = acqs
+    let mut sets: Vec<HashMap<LockId, Site>> = acqs
         .iter()
         .map(|list| {
             let mut m = HashMap::new();
@@ -147,7 +153,7 @@ fn lock_order(table: &SymbolTable, graph: &CallGraph, diags: &mut Vec<Diagnostic
         .collect();
     let mut work: Vec<usize> = (0..n).collect();
     while let Some(g) = work.pop() {
-        let entries: Vec<(LockId, (usize, usize))> =
+        let entries: Vec<(LockId, Site)> =
             sets[g].iter().map(|(k, v)| (k.clone(), *v)).collect();
         for &f in &graph.callers[g] {
             let mut changed = false;
@@ -165,15 +171,14 @@ fn lock_order(table: &SymbolTable, graph: &CallGraph, diags: &mut Vec<Diagnostic
 
     // Edges held → acquired, keeping the first witness per pair
     // (BTreeMap so diagnostics come out in a stable order).
-    #[allow(clippy::type_complexity)]
-    let mut edges: BTreeMap<(LockId, LockId), ((usize, usize), (usize, usize))> = BTreeMap::new();
-    for f in 0..n {
+    let mut edges: BTreeMap<(LockId, LockId), (Site, Site)> = BTreeMap::new();
+    for (f, list) in acqs.iter().enumerate() {
         if table.fns[f].is_test {
             continue;
         }
-        for a in &acqs[f] {
+        for a in list {
             // Another acquisition while a's guard is live.
-            for b in &acqs[f] {
+            for b in list {
                 if b.tok > a.tok && b.tok < a.scope_end {
                     edges
                         .entry((a.lock.clone(), b.lock.clone()))

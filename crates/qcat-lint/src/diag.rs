@@ -3,31 +3,13 @@
 use std::fmt;
 
 /// A lint or audit rule. Source rules carry file:line positions;
-/// audit rules refer to tree nodes.
+/// audit rules refer to tree nodes. L1, L2 and L5–L7 are clippy lints
+/// now and L4 is retired, so their IDs are not variants here (see
+/// `docs/LINTS.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// L1: `unwrap()`/`expect()`/`panic!` in non-test library code.
-    L1Panic,
-    /// L2: NaN-unsafe float comparison (`partial_cmp().unwrap()`, or
-    /// `==`/`!=` against a float) in cost/order/rank/partition code.
-    L2FloatCmp,
     /// L3: forbidden inter-crate dependency (layering violation).
     L3Layering,
-    /// L5: raw `println!`/`eprintln!`/`dbg!` in non-test library code
-    /// (binaries and the `qcat-obs` exporter are exempt).
-    L5RawPrint,
-    /// L6: raw `std::thread` spawning (`thread::spawn`,
-    /// `thread::scope`, `thread::Builder`) outside `qcat-pool`, the
-    /// one crate sanctioned to create threads. Ad-hoc threads bypass
-    /// `QCAT_THREADS` sizing, recorder propagation, and the
-    /// deterministic result order the pool guarantees.
-    L6RawSpawn,
-    /// L7: `.lock().unwrap()` / `.lock().expect(` in non-test code.
-    /// A panicking peer poisons the mutex and every later lock call
-    /// panics too — one crash becomes a wedge. Lock through a
-    /// designated poison-recovery helper
-    /// (`.lock().unwrap_or_else(|e| e.into_inner())`) instead.
-    L7LockUnwrap,
     /// L8: a cycle in the workspace lock-acquisition graph — some
     /// path acquires lock B while holding lock A and another path
     /// acquires A while holding B (or re-acquires the same lock it
@@ -81,15 +63,10 @@ pub enum Rule {
 
 impl Rule {
     /// The stable identifier printed in diagnostics and matched by
-    /// tests, e.g. `L1`, `A3`, `T2`.
+    /// tests, e.g. `L3`, `A3`, `T2`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::L1Panic => "L1",
-            Rule::L2FloatCmp => "L2",
             Rule::L3Layering => "L3",
-            Rule::L5RawPrint => "L5",
-            Rule::L6RawSpawn => "L6",
-            Rule::L7LockUnwrap => "L7",
             Rule::L8LockOrder => "L8",
             Rule::L9CheckpointGap => "L9",
             Rule::L10BudgetBlindAlloc => "L10",
@@ -163,10 +140,10 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let d = Diagnostic::at("crates/core/src/cost.rs", 12, Rule::L1Panic, "call to unwrap()");
+        let d = Diagnostic::at("crates/qcat-serve/src/server.rs", 12, Rule::L8LockOrder, "cycle");
         assert_eq!(
             d.to_string(),
-            "crates/core/src/cost.rs:12: [L1] call to unwrap()"
+            "crates/qcat-serve/src/server.rs:12: [L8] cycle"
         );
         let f = Diagnostic::file_level("crates/qcat-sql/Cargo.toml", Rule::L3Layering, "depends on qcat-core");
         assert_eq!(
@@ -178,12 +155,7 @@ mod tests {
     #[test]
     fn rule_ids_are_stable() {
         for (rule, id) in [
-            (Rule::L1Panic, "L1"),
-            (Rule::L2FloatCmp, "L2"),
             (Rule::L3Layering, "L3"),
-            (Rule::L5RawPrint, "L5"),
-            (Rule::L6RawSpawn, "L6"),
-            (Rule::L7LockUnwrap, "L7"),
             (Rule::L8LockOrder, "L8"),
             (Rule::L9CheckpointGap, "L9"),
             (Rule::L10BudgetBlindAlloc, "L10"),

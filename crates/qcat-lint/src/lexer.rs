@@ -1,7 +1,7 @@
 //! A first-party Rust lexer: the token stream every source rule
 //! reads.
 //!
-//! Engine 1's original scanner blanked comments and literals with a
+//! An earlier scanner blanked comments and literals with a
 //! byte-level preprocessor; its known failure class was exotic
 //! literal syntax — `'\u{7D}'` escapes leaking a stray quote,
 //! multibyte char literals misread as lifetimes — after which real
@@ -11,11 +11,10 @@
 //! strings and byte chars, nested block comments, `\u{…}` and
 //! multibyte char literals, and char-vs-lifetime disambiguation.
 //!
-//! Tokens carry 1-based line and 0-based byte-column positions so
-//! both consumers can reconstruct what they need: the line-oriented
-//! rules (L1–L7) rebuild blanked source lines at original columns,
-//! and the semantic engine (L8–L10, see [`crate::syms`] and
-//! [`crate::conc`]) walks the stream directly.
+//! Tokens carry their 1-based source line; the semantic engine
+//! (L8–L10, see [`crate::syms`] and [`crate::conc`]) walks the stream
+//! directly. The per-file source rules that once read this stream
+//! (L1, L2, L5–L7) are clippy lints now.
 
 /// What kind of token this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +44,6 @@ pub struct Token {
     pub text: String,
     /// 1-based source line of the token's first byte.
     pub line: usize,
-    /// 0-based byte column of the token's first byte in its line.
-    pub col: usize,
 }
 
 /// A fully lexed file.
@@ -56,7 +53,7 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
 }
 
-/// Lex `source` into tokens carrying their line and column.
+/// Lex `source` into tokens carrying their line.
 pub fn lex(source: &str) -> Lexed {
     Lexer::new(source).run()
 }
@@ -65,7 +62,6 @@ struct Lexer<'a> {
     b: &'a [u8],
     i: usize,
     line: usize, // 0-based while lexing
-    col: usize,
     tokens: Vec<Token>,
 }
 
@@ -75,7 +71,6 @@ impl<'a> Lexer<'a> {
             b: source.as_bytes(),
             i: 0,
             line: 0,
-            col: 0,
             tokens: Vec::new(),
         }
     }
@@ -103,23 +98,19 @@ impl<'a> Lexer<'a> {
         self.b.get(self.i + ahead).copied()
     }
 
-    /// Advance one byte, tracking line/column.
+    /// Advance one byte, tracking the line.
     fn bump(&mut self) {
         if self.b[self.i] == b'\n' {
             self.line += 1;
-            self.col = 0;
-        } else {
-            self.col += 1;
         }
         self.i += 1;
     }
 
-    fn push(&mut self, kind: TokKind, text: String, line: usize, col: usize) {
+    fn push(&mut self, kind: TokKind, text: String, line: usize) {
         self.tokens.push(Token {
             kind,
             text,
             line: line + 1,
-            col,
         });
     }
 
@@ -155,7 +146,7 @@ impl<'a> Lexer<'a> {
 
     /// A plain (non-raw) string literal starting at the opening `"`.
     fn string(&mut self) {
-        let (line, col) = (self.line, self.col);
+        let line = self.line;
         self.bump(); // opening quote
         while self.i < self.b.len() && self.b[self.i] != b'"' {
             if self.b[self.i] == b'\\' && self.i + 1 < self.b.len() {
@@ -168,12 +159,12 @@ impl<'a> Lexer<'a> {
         if self.i < self.b.len() {
             self.bump(); // closing quote
         }
-        self.push(TokKind::Str, String::new(), line, col);
+        self.push(TokKind::Str, String::new(), line);
     }
 
     /// Char literal or lifetime, starting at the tick.
     fn char_or_lifetime(&mut self) {
-        let (line, col) = (self.line, self.col);
+        let line = self.line;
         // Escape sequence ⇒ definitely a char literal.
         if self.peek(1) == Some(b'\\') {
             self.bump(); // tick
@@ -206,7 +197,7 @@ impl<'a> Lexer<'a> {
             if self.peek(0) == Some(b'\'') {
                 self.bump(); // closing tick
             }
-            self.push(TokKind::Char, String::new(), line, col);
+            self.push(TokKind::Char, String::new(), line);
             return;
         }
         // Unescaped: a char literal iff a closing tick follows one
@@ -223,7 +214,7 @@ impl<'a> Lexer<'a> {
             while self.i <= j {
                 self.bump();
             }
-            self.push(TokKind::Char, String::new(), line, col);
+            self.push(TokKind::Char, String::new(), line);
         } else {
             // Lifetime: tick plus identifier characters.
             let start = self.i;
@@ -235,12 +226,12 @@ impl<'a> Lexer<'a> {
                 self.bump();
             }
             let text = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-            self.push(TokKind::Lifetime, text, line, col);
+            self.push(TokKind::Lifetime, text, line);
         }
     }
 
     fn number(&mut self) {
-        let (line, col) = (self.line, self.col);
+        let line = self.line;
         let start = self.i;
         // Integer part, hex/oct/bin digits, suffixes: one alnum run.
         self.alnum_run();
@@ -264,7 +255,7 @@ impl<'a> Lexer<'a> {
             self.alnum_run();
         }
         let text = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-        self.push(TokKind::Num, text, line, col);
+        self.push(TokKind::Num, text, line);
     }
 
     fn alnum_run(&mut self) {
@@ -287,34 +278,32 @@ impl<'a> Lexer<'a> {
         if self.b[self.i] == b'b' {
             match self.peek(1) {
                 Some(b'"') => {
-                    let (line, col) = (self.line, self.col);
+                    let line = self.line;
                     self.bump(); // the b
                     self.string();
                     // string() pushed a Str at the quote; fix its start.
                     if let Some(t) = self.tokens.last_mut() {
                         t.line = line + 1;
-                        t.col = col;
                     }
                     return;
                 }
                 Some(b'\'') => {
-                    let (line, col) = (self.line, self.col);
+                    let line = self.line;
                     self.bump(); // the b
                     self.char_or_lifetime();
                     if let Some(t) = self.tokens.last_mut() {
                         t.line = line + 1;
-                        t.col = col;
                     }
                     return;
                 }
                 _ => {}
             }
         }
-        let (line, col) = (self.line, self.col);
+        let line = self.line;
         let start = self.i;
         self.alnum_run();
         let text = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-        self.push(TokKind::Ident, text, line, col);
+        self.push(TokKind::Ident, text, line);
     }
 
     /// If a raw (byte) string starts here, return its `#` count.
@@ -337,7 +326,7 @@ impl<'a> Lexer<'a> {
 
     /// Consume `r#"…"#`-style raw string with `hashes` hash marks.
     fn raw_string(&mut self, hashes: usize) {
-        let (line, col) = (self.line, self.col);
+        let line = self.line;
         while self.i < self.b.len() && self.b[self.i] != b'"' {
             self.bump(); // b/r prefix and hashes
         }
@@ -359,11 +348,11 @@ impl<'a> Lexer<'a> {
             }
             self.bump();
         }
-        self.push(TokKind::Str, String::new(), line, col);
+        self.push(TokKind::Str, String::new(), line);
     }
 
     fn punct(&mut self) {
-        let (line, col) = (self.line, self.col);
+        let line = self.line;
         let start = self.i;
         // One character; multibyte text outside literals (only ever
         // seen in malformed input) is consumed whole.
@@ -372,7 +361,7 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
         let text = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-        self.push(TokKind::Punct, text, line, col);
+        self.push(TokKind::Punct, text, line);
     }
 }
 
@@ -476,13 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn positions_are_line_and_col() {
-        let l = lex("ab cd\n  ef\n");
-        let t: Vec<(usize, usize, &str)> = l
+    fn positions_are_lines() {
+        let l = lex("ab cd\n  ef\n/* x\n */ b\"s\" b'c'\n");
+        let t: Vec<(usize, &str)> = l
             .tokens
             .iter()
-            .map(|t| (t.line, t.col, t.text.as_str()))
+            .map(|t| (t.line, t.text.as_str()))
             .collect();
-        assert_eq!(t, vec![(1, 0, "ab"), (1, 3, "cd"), (2, 2, "ef")]);
+        assert_eq!(t, vec![(1, "ab"), (1, "cd"), (2, "ef"), (4, ""), (4, "")]);
     }
 }

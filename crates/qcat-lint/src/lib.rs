@@ -4,16 +4,12 @@
 //!
 //! Four engines (see `docs/LINTS.md` for the full catalog):
 //!
-//! - **Engine 1 — source lint** ([`scan`], [`manifest`],
-//!   [`workspace`]): per-file rules L1 (no panic sites in library
-//!   code), L2 (no NaN-unsafe float comparisons in
-//!   cost/order/rank/partition code), L3 (layering, from Cargo.toml),
-//!   L5 (no raw `println!`/`eprintln!`/`dbg!` in library code —
-//!   progress goes through `qcat-obs`), L6 (no ad-hoc threads outside
-//!   `qcat-pool`), L7 (no `.lock().unwrap()`). All rules run over the
-//!   [`lexer`] token stream, so string literals and comments can never
-//!   produce false positives. (L4, missing docs, is retired: every
-//!   library crate denies `missing_docs`, so the compiler checks it.)
+//! - **Engine 1 — layering** ([`manifest`], [`workspace`]): rule L3
+//!   (no forbidden inter-crate dependency), read from every crate's
+//!   `Cargo.toml`. The per-file source rules L1, L2 and L5–L7 are
+//!   enforced by clippy, which type-checks them (the root
+//!   `Cargo.toml`'s `[workspace.lints.clippy]` and `clippy.toml`);
+//!   L4, missing docs, is retired in favour of `#![deny(missing_docs)]`.
 //! - **Engine 2 — semantic analysis** ([`lexer`], [`syms`],
 //!   [`callgraph`], [`conc`]): a workspace-wide symbol table and call
 //!   graph feeding cross-file rules L8 (lock-order cycles), L9
@@ -25,13 +21,14 @@
 //!   with an independent brute-force evaluation of Eq. 1 (A6–A7).
 //! - **Engine 4 — trace auditor** ([`tracecheck`]): given a
 //!   `QCAT_TRACE=json` JSONL capture, verifies schema and `seq` order
-//!   (T1), per-thread LIFO span balance (T2), and duration arithmetic
-//!   (T3). Run it with `qcat-lint --audit-trace <file>`.
+//!   (T1), per-thread LIFO span balance (T2), duration arithmetic
+//!   (T3), governance-event enclosure (T4) and causal parent links
+//!   (T5). Run it with `qcat-lint --audit-trace <file>`.
 //!
 //! The binary (`cargo run -p qcat-lint -- --workspace`, or the
-//! `cargo lint` alias) runs the source and semantic engines and exits
-//! nonzero on any violation; the integration test under `tests/` does
-//! the same so plain `cargo test` gates regressions.
+//! `cargo lint` alias) runs the layering and semantic engines and
+//! exits nonzero on any violation; the root `tests/lint_gate.rs` does
+//! the same, and runs clippy, so plain `cargo test` gates regressions.
 
 pub mod audit;
 pub mod callgraph;
@@ -39,13 +36,13 @@ pub mod conc;
 pub mod diag;
 pub mod lexer;
 pub mod manifest;
-pub mod scan;
+#[cfg(test)]
+mod scan;
 pub mod syms;
 pub mod tracecheck;
 pub mod workspace;
 
 pub use conc::{analyze_sources, SourceFile};
 pub use diag::{Diagnostic, Rule};
-pub use scan::{lint_source, CleanSource, ScanOptions};
 pub use tracecheck::audit_trace;
 pub use workspace::lint_workspace;

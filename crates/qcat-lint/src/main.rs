@@ -1,10 +1,16 @@
 //! The qcat-lint driver.
 //!
 //! `cargo run -p qcat-lint -- --workspace` (or `cargo lint`) runs
-//! the source, semantic, and audit engines against the repository
+//! the layering, semantic, and audit engines against the repository
 //! and exits nonzero when any rule fires. Diagnostics print as
 //! `file:line: [RULE] message`, one per line, so editors and CI logs
 //! can jump to them.
+
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "L5: a binary owns its stdout and stderr"
+)]
 
 use qcat_core::label::CategoryLabel;
 use qcat_core::tree::{CategoryTree, NodeId};
@@ -78,8 +84,8 @@ fn main() -> ExitCode {
     }
     if diags.is_empty() {
         let what = match (run_workspace, trace_paths.is_empty()) {
-            (true, true) => "workspace clean (L1-L10 + audit self-check)",
-            (true, false) => "workspace and trace(s) clean (L1-L10 + audit self-check + T1-T5)",
+            (true, true) => "workspace clean (L3, L8-L10 + audit self-check)",
+            (true, false) => "workspace and trace(s) clean (L3, L8-L10 + audit self-check + T1-T5)",
             _ => "trace(s) clean (T1-T5)",
         };
         println!("qcat-lint: {what}");
@@ -92,9 +98,11 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: qcat-lint [--workspace] [--root <repo-root>] [--audit-trace <trace.jsonl>]
 
---workspace runs the source lints (L1-L7), the cross-file semantic
+--workspace runs the layering lint (L3), the cross-file semantic
 lints (L8 lock-order, L9 checkpoint coverage, L10 budget-blind
-allocation), and the cost-model auditor self-check. --audit-trace
+allocation), and the cost-model auditor self-check. The per-file
+source rules L1, L2 and L5-L7 are clippy lints: run `cargo clippy
+--workspace --lib --bins -- -D warnings`. --audit-trace
 checks a QCAT_TRACE=json capture for schema validity, span balance,
 duration consistency, governance-event enclosure, and causal parent
 links (T1-T5); it may

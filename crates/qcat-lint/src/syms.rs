@@ -245,12 +245,8 @@ fn scan_impl_header(toks: &[Token], start: usize) -> (usize, Option<String>) {
         let t = &toks[i];
         match (t.kind, t.text.as_str()) {
             (TokKind::Punct, "<") => angle += 1,
-            (TokKind::Punct, ">") => {
-                // `->` in an `Fn(..) -> R` bound is not a closer.
-                if !(i > 0 && toks[i - 1].text == "-") {
-                    angle -= 1;
-                }
-            }
+            // `->` in an `Fn(..) -> R` bound is not a closer.
+            (TokKind::Punct, ">") if !(i > 0 && toks[i - 1].text == "-") => angle -= 1,
             (TokKind::Punct, "{") if angle <= 0 => return (i, ty),
             (TokKind::Punct, ";") => return (i, ty),
             (TokKind::Ident, "for") if angle <= 0 => ty = None,
@@ -261,12 +257,12 @@ fn scan_impl_header(toks: &[Token], start: usize) -> (usize, Option<String>) {
                 }
                 return (i, ty);
             }
-            (TokKind::Ident, name) if angle <= 0 => {
-                // Later path segments overwrite (`foo::Bar` → Bar);
-                // the first ident after `for` wins likewise.
-                if ty.is_none() || peek_is(toks, i.wrapping_sub(1), ":") {
-                    ty = Some(name.to_string());
-                }
+            // Later path segments overwrite (`foo::Bar` → Bar); the
+            // first ident after `for` wins likewise.
+            (TokKind::Ident, name)
+                if angle <= 0 && (ty.is_none() || peek_is(toks, i.wrapping_sub(1), ":")) =>
+            {
+                ty = Some(name.to_string());
             }
             _ => {}
         }
@@ -328,10 +324,12 @@ fn scan_fn(
                 }
             }
             "self" if depth == 1 && toks[i].kind == TokKind::Ident => has_self = true,
-            _ if depth == 1 && toks[i].kind == TokKind::Ident && peek_is(toks, i + 1, ":") => {
-                if toks[i].text != "mut" {
-                    params.push(toks[i].text.clone());
-                }
+            _ if depth == 1
+                && toks[i].kind == TokKind::Ident
+                && peek_is(toks, i + 1, ":")
+                && toks[i].text != "mut" =>
+            {
+                params.push(toks[i].text.clone());
             }
             _ => {}
         }

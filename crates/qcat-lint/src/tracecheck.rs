@@ -89,7 +89,7 @@ pub fn audit_trace(origin: &str, text: &str) -> Vec<Diagnostic> {
         if rec.parent != 0
             && opened
                 .get(&rec.trace)
-                .map_or(true, |ids| !ids.contains_key(&rec.parent))
+                .is_none_or(|ids| !ids.contains_key(&rec.parent))
         {
             diags.push(Diagnostic::at(
                 origin,
@@ -204,7 +204,12 @@ pub fn audit_trace(origin: &str, text: &str) -> Vec<Diagnostic> {
                     ));
                 }
                 let from_ts = rec.ts_ns - open.ts_ns;
-                if dur != from_ts {
+                #[allow(
+                    clippy::float_cmp,
+                    reason = "L2: both are integer nanosecond counts, exact in f64"
+                )]
+                let mismatch = dur != from_ts;
+                if mismatch {
                     diags.push(Diagnostic::at(
                         origin,
                         lineno,
@@ -417,7 +422,7 @@ mod tests {
     }
 
     /// A line carrying the full identity triple.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one parameter per trace-line field")]
     fn idline(
         seq: u64,
         ts: u64,

@@ -1,35 +1,19 @@
-//! Walking the real workspace: applies the source rules to the right
-//! crates/files, the layering rule to every manifest, and the
-//! cross-file semantic rules (L8–L10) to the whole tree at once.
+//! Walking the real workspace: applies the layering rule (L3) to every
+//! manifest and the cross-file semantic rules (L8–L10) to the whole
+//! tree at once.
 //!
-//! Every source file is read once and lexed once; the per-file work
-//! (lexing plus all Engine 1 rules, with the per-file rule selection
-//! merged into a single [`ScanOptions`]) fans out across
-//! `qcat-pool`, and the token streams then feed the Engine 2 symbol
-//! table serially.
+//! Every source file is read once and lexed once; the lexing fans out
+//! across `qcat-pool`, and the token streams then feed the Engine 2
+//! symbol table serially.
 
 use crate::conc;
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Lexed};
 use crate::manifest::check_layering;
-use crate::scan::{lint_lexed, ScanOptions};
 use crate::syms::SymbolTable;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Crates whose sources are scanned for L1/L2 (the library layers
-/// the cost model's correctness rests on, plus the observability
-/// substrate every other crate calls into), as repo-relative crate
-/// directories.
-pub const SCANNED_CRATES: &[&str] = &[
-    "crates/core",
-    "crates/qcat-data",
-    "crates/qcat-sql",
-    "crates/qcat-exec",
-    "crates/qcat-obs",
-    "crates/qcat-serve",
-];
 
 /// How a workspace scan went, for wall-time reporting.
 #[derive(Debug, Clone, Copy)]
@@ -40,15 +24,14 @@ pub struct ScanStats {
     pub threads: usize,
 }
 
-/// One file's scan job: everything the parallel pass needs.
+/// One source file to lex.
 struct FileJob {
     rel: String,
     pkg: String,
     source: String,
-    opts: ScanOptions,
 }
 
-/// Run Engines 1 and 2 (L1–L10) over the workspace rooted at `root`.
+/// Run Engines 1 and 2 (L3, L8–L10) over the workspace rooted at `root`.
 /// Returns the diagnostics; an empty vector means the tree is clean.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     lint_workspace_with_stats(root).map(|(diags, _)| diags)
@@ -81,16 +64,14 @@ pub fn lint_workspace_with_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, Sc
         } else {
             None
         };
-        let dir_name = dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let pkg = pkg.unwrap_or_else(|| dir_name.clone());
+        let pkg = pkg.unwrap_or_else(|| {
+            dir.file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_default()
+        });
         for file in rust_files(&dir.join("src"))? {
-            let rel = relative(root, &file);
             jobs.push(FileJob {
-                opts: options_for_file(&dir_name, &rel),
-                rel,
+                rel: relative(root, &file),
                 pkg: pkg.clone(),
                 source: fs::read_to_string(&file)?,
             });
@@ -98,104 +79,30 @@ pub fn lint_workspace_with_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, Sc
     }
     // The facade crate's own src/ (package `qcat`).
     for file in rust_files(&root.join("src"))? {
-        let rel = relative(root, &file);
         jobs.push(FileJob {
-            opts: options_for_file("", &rel),
-            rel,
+            rel: relative(root, &file),
             pkg: "qcat".to_string(),
             source: fs::read_to_string(&file)?,
         });
     }
 
-    // Parallel per-file pass: one lex, all Engine 1 rules.
+    // Parallel per-file pass: one lex per file.
     let pool = qcat_pool::ThreadPool::new(0);
-    let per_file: Vec<(Vec<Diagnostic>, Lexed)> = pool.map(&jobs, |_, job| {
-        let lexed = lex(&job.source);
-        let diags = lint_lexed(&job.rel, &job.source, &lexed, job.opts);
-        (diags, lexed)
-    });
+    let per_file: Vec<Lexed> = pool.map(&jobs, |_, job| lex(&job.source));
 
     // Serial: fold the token streams into the Engine 2 symbol table.
-    let mut diags = Vec::new();
     let mut table = SymbolTable::default();
-    for (job, (file_diags, lexed)) in jobs.iter().zip(per_file) {
-        diags.extend(file_diags);
+    for (job, lexed) in jobs.iter().zip(per_file) {
         table.add_lexed(&job.rel, &job.pkg, lexed.tokens);
     }
-    diags.extend(conc::analyze_table(&table));
+    let mut diags = conc::analyze_table(&table);
     diags.extend(lint_manifests(root)?);
-    diags.sort_by(|a, b| (a.file.clone(), a.line).cmp(&(b.file.clone(), b.line)));
+    diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     let stats = ScanStats {
         files: jobs.len(),
         threads: pool.threads(),
     };
     Ok((diags, stats))
-}
-
-/// The union of every Engine 1 rule's file selection, as one merged
-/// option set:
-///
-/// - L1/L2 only in [`SCANNED_CRATES`], via [`options_for`];
-/// - L5 everywhere except `qcat-obs` (the sanctioned exporter) and
-///   binary entry points (`src/bin/`, `main.rs`), which own
-///   stdout/stderr;
-/// - L6 everywhere except `qcat-pool`, the one crate sanctioned to
-///   create threads (binaries are NOT exempt — an ad-hoc thread in a
-///   binary bypasses `QCAT_THREADS` sizing and recorder propagation
-///   just as thoroughly);
-/// - L7 everywhere, binaries included — poison recovery is expected
-///   wherever a mutex is shared, and the sanctioned pattern
-///   (`.lock().unwrap_or_else(|e| e.into_inner())` inside a
-///   designated helper such as `lock_recover`) does not match the
-///   rule's needles.
-fn options_for_file(crate_dir: &str, rel_path: &str) -> ScanOptions {
-    let scanned = SCANNED_CRATES
-        .iter()
-        .any(|dir| rel_path.starts_with(&format!("{dir}/src/")));
-    let mut opts = if scanned {
-        options_for(rel_path)
-    } else {
-        ScanOptions::default()
-    };
-    opts.check_prints = crate_dir != "qcat-obs"
-        && !rel_path.contains("/bin/")
-        && !rel_path.ends_with("/main.rs");
-    opts.check_spawns = crate_dir != "qcat-pool";
-    opts.check_locks = true;
-    opts
-}
-
-/// Rule selection for one [`SCANNED_CRATES`] file: L1 everywhere; the
-/// float-equality half of L2 only in cost/order/rank/partition code.
-fn options_for(rel_path: &str) -> ScanOptions {
-    let filename = rel_path.rsplit('/').next().unwrap_or(rel_path);
-    let sensitive = ["cost", "order", "rank", "partition"]
-        .iter()
-        .any(|k| filename_mentions(filename, k) || rel_path.contains("/partition/"));
-    ScanOptions {
-        check_panics: true,
-        check_float_cmp: true,
-        float_eq_sensitive: sensitive,
-        check_prints: false, // merged in by options_for_file
-        check_spawns: false,
-        check_locks: false,
-    }
-}
-
-/// Does `file` mention `key` starting at a word boundary? Plain
-/// `contains` would make `recorder.rs` ordering-sensitive (it
-/// contains "order" mid-word); `sibling_order.rs` still matches.
-fn filename_mentions(file: &str, key: &str) -> bool {
-    let bytes = file.as_bytes();
-    let mut from = 0;
-    while let Some(p) = file[from..].find(key) {
-        let pos = from + p;
-        if pos == 0 || !bytes[pos - 1].is_ascii_alphabetic() {
-            return true;
-        }
-        from = pos + 1;
-    }
-    false
 }
 
 /// L3 over every crate manifest in `crates/*`.
@@ -279,42 +186,6 @@ fn relative(root: &Path, path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sensitive_file_selection() {
-        assert!(options_for("crates/core/src/cost.rs").float_eq_sensitive);
-        assert!(options_for("crates/core/src/order.rs").float_eq_sensitive);
-        assert!(options_for("crates/core/src/rank.rs").float_eq_sensitive);
-        assert!(
-            options_for("crates/core/src/partition/numeric.rs").float_eq_sensitive
-        );
-        assert!(options_for("crates/core/src/sibling_order.rs").float_eq_sensitive);
-        assert!(!options_for("crates/core/src/tree.rs").float_eq_sensitive);
-        assert!(!options_for("crates/qcat-sql/src/parser.rs").float_eq_sensitive);
-        // "recorder" contains "order" only mid-word: not ordering code.
-        assert!(!options_for("crates/qcat-obs/src/recorder.rs").float_eq_sensitive);
-    }
-
-    #[test]
-    fn merged_options_cover_every_engine1_rule() {
-        // A scanned library file gets everything.
-        let o = options_for_file("core", "crates/core/src/cost.rs");
-        assert!(o.check_panics && o.check_float_cmp);
-        assert!(o.check_prints && o.check_spawns && o.check_locks);
-        // qcat-obs: prints are its job; everything else still applies.
-        let o = options_for_file("qcat-obs", "crates/qcat-obs/src/recorder.rs");
-        assert!(!o.check_prints && o.check_spawns && o.check_locks);
-        assert!(o.check_panics, "qcat-obs is a scanned crate");
-        // qcat-pool: the sanctioned home of raw threads.
-        let o = options_for_file("qcat-pool", "crates/qcat-pool/src/lib.rs");
-        assert!(o.check_prints && !o.check_spawns && o.check_locks);
-        assert!(!o.check_panics, "qcat-pool is not L1-scanned");
-        // Binaries own stdout but not threads or locks.
-        let o = options_for_file("qcat-lint", "crates/qcat-lint/src/main.rs");
-        assert!(!o.check_prints && o.check_spawns && o.check_locks);
-        let o = options_for_file("", "src/bin/qcat-bench.rs");
-        assert!(!o.check_prints && o.check_spawns && o.check_locks);
-    }
 
     #[test]
     fn missing_root_is_an_error_not_a_clean_run() {

@@ -1,9 +1,13 @@
-//! Tier-1 gate: both lint engines must pass on the real workspace.
+//! Tier-1 gate: the layering and semantic engines must pass on the
+//! real workspace, and the cost-model auditor must flag seeded
+//! violations.
 //!
-//! This test is what makes `cargo test -q` fail when a panic site,
-//! NaN-unsafe comparison, layering violation, undocumented public
-//! item, or cost-model invariant regression lands — without anyone
-//! having to remember to run the binary.
+//! This test is what makes `cargo test -q` fail when a layering
+//! violation, lock-order cycle, checkpoint gap, budget-blind
+//! allocation or cost-model invariant regression lands — without
+//! anyone having to remember to run the binary. The clippy-enforced
+//! source rules (L1, L2, L5–L7) are gated by the root
+//! `tests/lint_gate.rs`.
 
 use qcat_core::label::CategoryLabel;
 use qcat_core::tree::{CategoryTree, NodeId};

@@ -116,7 +116,7 @@ impl Histogram {
         }
         if self.exemplars.len() < MAX_EXEMPLARS {
             self.exemplars.push(Exemplar { value_ns: v, trace });
-            self.exemplars.sort_by(|a, b| b.value_ns.cmp(&a.value_ns));
+            self.exemplars.sort_by_key(|e| std::cmp::Reverse(e.value_ns));
         } else if self
             .exemplars
             .last()
@@ -124,7 +124,7 @@ impl Histogram {
         {
             self.exemplars.pop();
             self.exemplars.push(Exemplar { value_ns: v, trace });
-            self.exemplars.sort_by(|a, b| b.value_ns.cmp(&a.value_ns));
+            self.exemplars.sort_by_key(|e| std::cmp::Reverse(e.value_ns));
         }
     }
 

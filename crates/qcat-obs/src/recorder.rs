@@ -69,14 +69,15 @@ struct State {
     flight: FlightState,
 }
 
-/// The causal-identity triple a trace line carries: the trace it
-/// belongs to, its own span id (span kinds only), and its parent span
-/// id (0 = root of its trace).
+/// Where a trace line sits in its causal tree: the trace it belongs
+/// to, its own span id (span kinds only), its parent span id (0 =
+/// root of its trace), and its nesting depth on its thread.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LineIds {
     pub trace: u64,
     pub span: u64,
     pub parent: u64,
+    pub depth: usize,
 }
 
 struct Inner {
@@ -106,6 +107,10 @@ impl std::fmt::Debug for Recorder {
 
 /// Recover from a poisoned mutex: the state is plain aggregates, safe
 /// to keep using after another thread panicked mid-update.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "L7: the recorder's one poison-recovering lock helper"
+)]
 fn lock_state(inner: &Inner) -> MutexGuard<'_, State> {
     inner.state.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -171,7 +176,6 @@ impl Recorder {
         ts_ns: u64,
         kind: &str,
         name: &str,
-        depth: usize,
         dur_ns: Option<u64>,
         ids: LineIds,
         fields: &[(&'static str, Value)],
@@ -190,7 +194,7 @@ impl Recorder {
         tail.push_str("\",\"name\":");
         tail.push_str(&crate::json::escape(name));
         tail.push_str(",\"depth\":");
-        tail.push_str(&depth.to_string());
+        tail.push_str(&ids.depth.to_string());
         tail.push_str(",\"trace\":");
         tail.push_str(&ids.trace.to_string());
         if ids.span != 0 {
@@ -360,7 +364,7 @@ impl Recorder {
         } else {
             state.flight.healthy_seen += 1;
             let every = state.flight.config.sample_every;
-            if every > 0 && state.flight.healthy_seen % every == 0 {
+            if every > 0 && state.flight.healthy_seen.is_multiple_of(every) {
                 DumpReason::Sampled
             } else {
                 return; // healthy and unsampled: discard
@@ -596,6 +600,10 @@ static FLIGHT_FILE: OnceLock<String> = OnceLock::new();
 ///   no healthy sampling).
 /// - `QCAT_FLIGHT_FILE` — [`finish_global`] writes the retained dumps
 ///   to this path as concatenated JSONL.
+#[allow(
+    clippy::print_stderr,
+    reason = "L5: the exporter reports a trace file it cannot create on stderr"
+)]
 pub fn init_from_env() -> TraceMode {
     let mode = match std::env::var("QCAT_TRACE").ok().as_deref() {
         Some("text") => TraceMode::Text,
@@ -645,6 +653,10 @@ pub fn init_from_env() -> TraceMode {
 /// flight-recorder dumps to `QCAT_FLIGHT_FILE` if configured), or
 /// render the text summary to stderr in text mode. Call once before
 /// exit.
+#[allow(
+    clippy::print_stderr,
+    reason = "L5: the exporter owns stderr for the text summary and write errors"
+)]
 pub fn finish_global() {
     let Some(rec) = GLOBAL.get() else {
         return;
@@ -708,8 +720,9 @@ pub fn event_with(name: &str, fields: Vec<(&'static str, Value)>) {
             trace: crate::trace::current_trace(),
             span: 0,
             parent: crate::trace::current_parent(),
+            depth: crate::span::current_depth(),
         };
-        rec.emit_line(ts, "event", name, crate::span::current_depth(), None, ids, &fields);
+        rec.emit_line(ts, "event", name, None, ids, &fields);
     }
 }
 

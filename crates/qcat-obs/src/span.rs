@@ -107,8 +107,9 @@ pub fn span_with(name: &'static str, fields: Vec<(&'static str, Value)>) -> Span
             trace,
             span: span_id,
             parent,
+            depth,
         };
-        rec.emit_line(open_ts, "span_open", name, depth, None, ids, &fields);
+        rec.emit_line(open_ts, "span_open", name, None, ids, &fields);
     }
     DEPTH.with(|d| d.set(depth + 1));
     crate::trace::push_span(trace, span_id);
@@ -143,9 +144,10 @@ impl Drop for SpanGuard {
                 trace: data.trace,
                 span: data.span_id,
                 parent: data.parent,
+                depth: data.depth,
             };
             data.rec
-                .emit_line(close_ts, "span_close", data.name, data.depth, Some(dur_ns), ids, &data.fields);
+                .emit_line(close_ts, "span_close", data.name, Some(dur_ns), ids, &data.fields);
         }
     }
 }

@@ -193,6 +193,7 @@ impl ThreadPool {
     /// cancellation / injected faults (which cannot happen without a
     /// budget or fault plan installed) also panic. Callers that run
     /// under a budget should use `try_map` and degrade.
+    #[allow(clippy::panic, reason = "L1: the infallible wrapper re-raises failures, as documented")]
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -255,6 +256,14 @@ impl ThreadPool {
             .min(usize::try_from(by_work).unwrap_or(usize::MAX))
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "L6: qcat-pool is the one crate that creates threads"
+    )]
+    #[allow(
+        clippy::expect_used,
+        reason = "L1: a failed worker spawn or an unfilled result slot is a broken invariant"
+    )]
     fn try_map_at<T, R, F>(&self, width: usize, items: &[T], f: F) -> Result<Vec<R>, PoolError>
     where
         T: Sync,

@@ -23,6 +23,10 @@ use qcat_data::AttrId;
 impl NumericRange {
     /// Is `other` entirely inside `self`? Empty ranges are contained
     /// in everything.
+    #[allow(
+        clippy::float_cmp,
+        reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+    )]
     pub fn contains_range(&self, other: &NumericRange) -> bool {
         if other.is_empty() {
             return true;
@@ -40,6 +44,10 @@ impl NumericRange {
 ///
 /// Conservative: a `false` only means dominance could not be *proven*
 /// cheaply, never that it does not hold.
+#[allow(
+    clippy::float_cmp,
+    reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+)]
 pub fn condition_implies(tight: &AttrCondition, wide: &AttrCondition) -> bool {
     use AttrCondition::*;
     if tight.is_unsatisfiable() {

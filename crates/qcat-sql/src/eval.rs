@@ -132,7 +132,11 @@ impl CompiledPredicate {
             Some(c) => c.to_vec(),
             None => relation.all_row_ids(),
         };
-        self.filter_current(relation, current, cancel)
+        // The matches are compacted in place, so without the shrink a
+        // few matches would keep every candidate's capacity.
+        let mut matched = self.filter_current(relation, current, cancel)?;
+        matched.shrink_to_fit();
+        Some(matched)
     }
 
     /// [`CompiledPredicate::filter_cancellable`] over the contiguous

@@ -63,6 +63,10 @@ impl NumericRange {
 
     /// Does `v` fall inside the range?
     #[inline]
+    #[allow(
+        clippy::float_cmp,
+        reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+    )]
     pub fn contains(&self, v: f64) -> bool {
         let above = v > self.lo || (self.lo_inclusive && v == self.lo);
         let below = v < self.hi || (self.hi_inclusive && v == self.hi);
@@ -70,6 +74,10 @@ impl NumericRange {
     }
 
     /// True when no value can satisfy the range.
+    #[allow(
+        clippy::float_cmp,
+        reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+    )]
     pub fn is_empty(&self) -> bool {
         self.lo > self.hi || (self.lo == self.hi && !(self.lo_inclusive && self.hi_inclusive))
     }

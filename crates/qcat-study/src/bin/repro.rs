@@ -11,6 +11,12 @@
 //! (real-life study), `fig13` (timing), `ablation` (design-choice
 //! ablations), `all`.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "L5: a binary owns its stdout and stderr"
+)]
+
 use qcat_study::reallife::{RealLifeStudy, RealLifeStudyConfig};
 use qcat_study::simulated::{SimulatedStudy, SimulatedStudyConfig};
 use qcat_study::timing::{

@@ -20,6 +20,13 @@
 //! The `repro` binary (`cargo run -p qcat-study --release --bin repro`)
 //! prints them all.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "L1: offline experiment drivers fail loudly on a broken setup"
+)]
+
 pub mod ablation;
 pub mod broaden;
 pub mod env;

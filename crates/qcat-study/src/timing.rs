@@ -130,12 +130,10 @@ pub fn run_timing_study(env: &StudyEnv, config: &TimingConfig) -> TimingStudy {
     // backfill. The hunt is capped so large scales cannot degenerate
     // into a full workload scan.
     let mut cases = Vec::with_capacity(config.queries);
-    let mut candidates = 0usize;
-    for w in env.log.queries() {
+    for (candidates, w) in env.log.queries().iter().enumerate() {
         if cases.len() >= config.queries || candidates >= config.max_candidates {
             break;
         }
-        candidates += 1;
         let Ok(result) = execute(&env.relation, w, &ExecOptions::default()) else {
             continue;
         };

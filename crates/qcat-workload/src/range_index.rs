@@ -155,6 +155,10 @@ impl RangeIndex {
     }
 
     /// Ranges whose every point is `<` the label's start.
+    #[allow(
+        clippy::float_cmp,
+        reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+    )]
     fn count_entirely_below(&self, label: &NumericRange) -> usize {
         // A range with upper endpoint (hi, hi_inc) is entirely below a
         // label starting at (lo, lo_inc) iff hi < lo, or hi == lo and
@@ -165,6 +169,10 @@ impl RangeIndex {
     }
 
     /// Ranges whose every point is `>` the label's end.
+    #[allow(
+        clippy::float_cmp,
+        reason = "L2: exact bound test; -0.0 and 0.0 are one endpoint, which total_cmp would split"
+    )]
     fn count_entirely_above(&self, label: &NumericRange) -> usize {
         let not_above = self.lowers.partition_point(|e| {
             e.value < label.hi || (e.value == label.hi && e.inclusive && label.hi_inclusive)

@@ -31,8 +31,12 @@ for w in explore revisit ingest; do
     grep -q '"failed": 0,' <<< "$last"
 done
 
-echo "==> qcat-lint (L1-L10 + audit self-check)"
+echo "==> qcat-lint (L3 layering, L8-L10 semantic rules + audit self-check)"
 cargo run --release -p qcat-lint -- --workspace
+
+echo "==> cargo clippy (L1, L2, L5-L7 + clippy's default groups; warnings are errors)"
+# The same command tests/lint_gate.rs runs, into the same target dir.
+CARGO_TARGET_DIR=target/clippy cargo clippy --offline --workspace --lib --bins -- -D warnings
 
 echo "==> cargo doc (rustdoc warnings are errors: no dead intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -169,4 +173,4 @@ for w in 1 8; do
         cargo test -q --release --test ingest_stress > /dev/null
 done
 
-echo "OK: build + perfbench output check + lint + docs + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"
+echo "OK: build + perfbench output check + qcat-lint + clippy + docs + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"

@@ -1,9 +1,10 @@
-//! Tier-1 lint gate: `cargo test -q` from the repo root runs both
-//! qcat-lint engines, so a new panic site, NaN-unsafe comparison,
-//! layering violation, undocumented `qcat-core` item, or cost-model
-//! invariant regression fails the default test run — no separate
-//! lint step required (though `cargo lint` runs the same checks with
-//! per-site diagnostics).
+//! Tier-1 lint gate: `cargo test -q` from the repo root runs qcat-lint
+//! and clippy, so a new panic site, strict float comparison, raw
+//! print, raw thread, bare `Mutex::lock`, layering violation,
+//! lock-order cycle, checkpoint gap, budget-blind allocation or
+//! cost-model invariant regression fails the default test run — no
+//! separate lint step required (though `cargo lint` and `cargo
+//! clippy` report the same findings with per-site diagnostics).
 
 use qcat_core::label::CategoryLabel;
 use qcat_core::tree::{CategoryTree, NodeId};
@@ -11,7 +12,9 @@ use qcat_data::{AttrId, AttrType, Field, RelationBuilder, Schema};
 use qcat_lint::{audit, lint_workspace, Rule};
 use qcat_sql::NumericRange;
 use std::path::Path;
+use std::process::Command;
 
+/// L3 and L8–L10 (qcat-lint's layering and semantic engines).
 #[test]
 fn source_lints_pass_on_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -24,6 +27,26 @@ fn source_lints_pass_on_workspace() {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// L1, L2 and L5–L7, plus clippy's default groups: the same command
+/// `scripts/check.sh` and CI run. It builds into its own target
+/// directory so it does not wait on the build lock `cargo test` holds.
+#[test]
+fn clippy_lints_pass_on_workspace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let out = Command::new(env!("CARGO"))
+        .current_dir(root)
+        .env("CARGO_TARGET_DIR", root.join("target/clippy"))
+        .args(["clippy", "--offline", "--workspace", "--lib", "--bins", "--quiet"])
+        .args(["--", "-D", "warnings"])
+        .output()
+        .expect("cargo clippy runs (is the clippy component installed?)");
+    assert!(
+        out.status.success(),
+        "cargo clippy --workspace --lib --bins -- -D warnings failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
