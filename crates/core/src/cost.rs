@@ -128,6 +128,7 @@ mod tests {
     use super::*;
     use crate::label::CategoryLabel;
     use qcat_data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema};
+    use qcat_datagen::prop;
     use qcat_sql::NumericRange;
 
     /// Relation with one numeric attribute, rows 0..n valued by index.
@@ -288,33 +289,24 @@ mod tests {
         assert_eq!(one_level_cost_all(42, 0.3, 1.0, &[]), 42.0);
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// CostAll is bounded below by the pure-SHOWTUPLES component
-            /// and CostOne never exceeds CostAll for the same tree when
-            /// frac ≤ 1 (finding one tuple is no harder than finding all).
-            #[test]
-            fn prop_cost_sanity(
-                sizes in proptest::collection::vec(1usize..40, 1..6),
-                seed_probs in proptest::collection::vec(0.0f64..1.0, 6),
-                pw in 0.0f64..1.0,
-                k in 0.0f64..3.0,
-            ) {
-                let probs: Vec<f64> = sizes.iter().enumerate().map(|(i, _)| seed_probs[i % seed_probs.len()]).collect();
-                let t = one_level_tree(&sizes, &probs, pw);
-                let all = cost_all(&t, k).total();
-                let one = cost_one(&t, k, 0.5).total();
-                prop_assert!(all >= 0.0 && one >= 0.0);
-                prop_assert!(one <= all + 1e-9,
-                    "one={one} all={all} sizes={sizes:?} probs={probs:?} pw={pw}");
-            }
-        }
+    /// CostAll is bounded below by the pure-SHOWTUPLES component and
+    /// CostOne never exceeds CostAll for the same tree when frac ≤ 1
+    /// (finding one tuple is no harder than finding all).
+    #[test]
+    fn prop_cost_sanity() {
+        prop::check("cost_sanity", 64, 5, |rng, size| {
+            let sizes = prop::vec(rng, 1, size, |rng| rng.gen_range(1..40usize));
+            let probs: Vec<f64> = sizes.iter().map(|_| rng.gen_range(0.0..1.0)).collect();
+            let (pw, k) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..3.0));
+            let t = one_level_tree(&sizes, &probs, pw);
+            let all = cost_all(&t, k).total();
+            let one = cost_one(&t, k, 0.5).total();
+            assert!(all >= 0.0 && one >= 0.0, "one={one} all={all}");
+            assert!(
+                one <= all + 1e-9,
+                "one={one} all={all} sizes={sizes:?} probs={probs:?} pw={pw}"
+            );
+            Ok(())
+        });
     }
 }

@@ -67,6 +67,7 @@ mod tests {
     use super::*;
     use crate::label::CategoryLabel;
     use qcat_data::{AttrId, AttrType, Field, Relation, RelationBuilder, Schema};
+    use qcat_datagen::prop;
     use qcat_sql::NumericRange;
 
     fn numeric_relation(n: usize) -> Relation {
@@ -187,41 +188,28 @@ mod tests {
         out
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Appendix A as a property: for random sibling sets, the
-            /// 1/P + CostOne ordering is never beaten by a random
-            /// permutation.
-            #[test]
-            fn prop_appendix_a(
-                sizes in proptest::collection::vec(1usize..40, 2..6),
-                probs in proptest::collection::vec(0.01f64..1.0, 6),
-                shuffle_seed in any::<u64>(),
-            ) {
-                let probs = &probs[..sizes.len()];
-                let mut t = one_level_tree(&sizes, probs);
-                apply_optimal_one_order(&mut t, NodeId::ROOT, 1.0, 0.5);
-                let best = cost_one(&t, 1.0, 0.5).total();
-                // Pseudo-random permutation from the seed.
-                let mut order = t.node(NodeId::ROOT).children.clone();
-                let n = order.len();
-                let mut s = shuffle_seed;
-                for i in (1..n).rev() {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let j = (s >> 33) as usize % (i + 1);
-                    order.swap(i, j);
-                }
-                t.reorder_children(NodeId::ROOT, order);
-                let shuffled = cost_one(&t, 1.0, 0.5).total();
-                prop_assert!(best <= shuffled + 1e-9);
+    /// Appendix A as a property: for random sibling sets, the
+    /// 1/P + CostOne ordering is never beaten by a random permutation.
+    #[test]
+    fn prop_appendix_a() {
+        prop::check("appendix_a", 64, 5, |rng, size| {
+            let sizes = prop::vec(rng, 2, size, |rng| rng.gen_range(1..40usize));
+            let probs: Vec<f64> = sizes.iter().map(|_| rng.gen_range(0.01..1.0)).collect();
+            let mut t = one_level_tree(&sizes, &probs);
+            apply_optimal_one_order(&mut t, NodeId::ROOT, 1.0, 0.5);
+            let best = cost_one(&t, 1.0, 0.5).total();
+            // A uniform random permutation (Fisher–Yates).
+            let mut order = t.node(NodeId::ROOT).children.clone();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
             }
-        }
+            t.reorder_children(NodeId::ROOT, order);
+            let shuffled = cost_one(&t, 1.0, 0.5).total();
+            assert!(
+                best <= shuffled + 1e-9,
+                "{best} > {shuffled}: sizes {sizes:?} probs {probs:?}"
+            );
+            Ok(())
+        });
     }
 }

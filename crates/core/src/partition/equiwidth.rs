@@ -75,6 +75,7 @@ pub fn equiwidth_split(
 mod tests {
     use super::*;
     use qcat_data::{AttrType, Field, RelationBuilder, Schema};
+    use qcat_datagen::prop;
     use qcat_workload::{PreprocessConfig, WorkloadLog, WorkloadStatistics};
 
     fn price_relation(values: &[f64]) -> Relation {
@@ -176,45 +177,38 @@ mod tests {
         assert_eq!(p.parts[1].p_explore, 1.0);
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Buckets always partition the tset and every row satisfies
-            /// its bucket label.
-            #[test]
-            fn prop_partition_invariants(
-                values in proptest::collection::vec(-1e4..1e4f64, 2..60),
-                width in 1.0..500.0f64,
-            ) {
-                let rel = price_relation(&values);
-                let stats = empty_stats(&rel);
-                let probs = ProbCache::new(&stats);
-                let tset = rel.all_row_ids();
-                if let Some((p, rows)) = equiwidth_split(&rel, AttrId(0), &tset, width, &probs) {
-                    prop_assert_eq!(p.total_tuples(), values.len());
-                    let mut seen: Vec<u32> = Vec::new();
-                    let mut rest = rows.as_slice();
-                    for part in &p.parts {
-                        prop_assert!(part.size > 0);
-                        let (head, tail) = rest.split_at(part.size);
-                        rest = tail;
-                        for &r in head {
-                            prop_assert!(part.label.matches_row(&rel, r));
-                            seen.push(r);
-                        }
+    /// Buckets always partition the tset and every row satisfies its
+    /// bucket label.
+    #[test]
+    fn prop_partition_invariants() {
+        prop::check("equiwidth_partition_invariants", 64, 59, |rng, size| {
+            let values = prop::vec(rng, 2, size, |rng| rng.gen_range(-1e4..1e4));
+            let width = rng.gen_range(1.0..500.0);
+            let rel = price_relation(&values);
+            let stats = empty_stats(&rel);
+            let probs = ProbCache::new(&stats);
+            let tset = rel.all_row_ids();
+            if let Some((p, rows)) = equiwidth_split(&rel, AttrId(0), &tset, width, &probs) {
+                assert_eq!(p.total_tuples(), values.len());
+                let mut seen: Vec<u32> = Vec::new();
+                let mut rest = rows.as_slice();
+                for part in &p.parts {
+                    assert!(part.size > 0);
+                    let (head, tail) = rest.split_at(part.size);
+                    rest = tail;
+                    for &r in head {
+                        assert!(
+                            part.label.matches_row(&rel, r),
+                            "row {r} outside {:?}",
+                            part.label
+                        );
+                        seen.push(r);
                     }
-                    seen.sort_unstable();
-                    let mut expect = tset.clone();
-                    expect.sort_unstable();
-                    prop_assert_eq!(seen, expect);
                 }
+                seen.sort_unstable();
+                assert_eq!(seen, tset);
             }
-        }
+            Ok(())
+        });
     }
 }

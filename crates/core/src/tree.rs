@@ -537,6 +537,7 @@ impl CategoryTree {
 mod tests {
     use super::*;
     use qcat_data::{AttrType, Field, RelationBuilder, Schema};
+    use qcat_datagen::prop;
     use qcat_sql::NumericRange;
 
     fn homes() -> Relation {
@@ -792,82 +793,71 @@ mod tests {
         assert_eq!(large.heap_bytes() - small.heap_bytes(), 360 * 4);
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Random two-level trees built through the public API always
-            /// satisfy the invariants, and dfs() visits every node exactly
-            /// once with parents before children.
-            #[test]
-            fn prop_random_trees_are_valid(
-                splits in proptest::collection::vec(1usize..5, 1..6),
-                probs in proptest::collection::vec(0.0f64..1.0, 32),
-            ) {
-                // One numeric attribute per level; rows valued by index.
-                let total: usize = splits.iter().sum::<usize>().max(1) * 4;
-                let schema = Schema::new(vec![
-                    Field::new("a", AttrType::Float),
-                    Field::new("b", AttrType::Float),
-                ])
-                .unwrap();
-                let mut b = RelationBuilder::new(schema);
-                for i in 0..total {
-                    b.push_row(&[(i as f64).into(), ((i % 7) as f64).into()])
-                        .unwrap();
-                }
-                let rel = b.finish().unwrap();
-                let mut t = CategoryTree::new(rel, (0..total as u32).collect());
-                t.push_level(AttrId(0));
-                // Level 1: contiguous index ranges sized 4·splits[k].
-                let mut next = 0u32;
-                let mut pi = 0;
-                let mut level1 = Vec::new();
-                for (k, &s) in splits.iter().enumerate() {
-                    let size = (4 * s) as u32;
-                    let lo = next as f64;
-                    let hi = (next + size) as f64;
-                    let range = if k + 1 == splits.len() {
-                        NumericRange::closed(lo, total as f64)
-                    } else {
-                        NumericRange::half_open(lo, hi)
-                    };
-                    let id = t.add_child(
-                        NodeId::ROOT,
-                        CategoryLabel::range(AttrId(0), range),
-                        &(next..next + size).collect::<Vec<u32>>(),
-                        probs[pi % probs.len()],
-                    );
-                    pi += 1;
-                    level1.push(id);
-                    next += size;
-                }
-                t.set_p_showtuples(NodeId::ROOT, probs[pi % probs.len()]);
-                prop_assert!(t.check_invariants().is_ok(), "{:?}", t.check_invariants());
-                // dfs is a permutation with parents first.
-                let order = t.dfs();
-                prop_assert_eq!(order.len(), t.node_count());
-                let mut seen = vec![false; t.node_count()];
-                for id in &order {
-                    prop_assert!(!seen[id.index()]);
-                    seen[id.index()] = true;
-                    if let Some(p) = t.node(*id).parent {
-                        prop_assert!(seen[p.index()], "parent after child");
-                    }
-                }
-                // Levels are consistent with level_attr bookkeeping.
-                for &id in &level1 {
-                    prop_assert_eq!(t.node(id).level, 1);
-                    prop_assert_eq!(t.level_attr(1), Some(AttrId(0)));
-                    prop_assert!(t.subcategorizing_attr(id).is_none());
+    /// Random two-level trees built through the public API always
+    /// satisfy the invariants, and dfs() visits every node exactly once
+    /// with parents before children.
+    #[test]
+    fn prop_random_trees_are_valid() {
+        prop::check("random_trees_are_valid", 64, 5, |rng, size| {
+            let splits = prop::vec(rng, 1, size, |rng| rng.gen_range(1..5usize));
+            let probs: Vec<f64> = (0..32).map(|_| rng.gen_range(0.0..1.0)).collect();
+            // One numeric attribute per level; rows valued by index.
+            let total: usize = splits.iter().sum::<usize>().max(1) * 4;
+            let schema = Schema::new(vec![
+                Field::new("a", AttrType::Float),
+                Field::new("b", AttrType::Float),
+            ])
+            .unwrap();
+            let mut b = RelationBuilder::new(schema);
+            for i in 0..total {
+                b.push_row(&[(i as f64).into(), ((i % 7) as f64).into()])
+                    .unwrap();
+            }
+            let rel = b.finish().unwrap();
+            let mut t = CategoryTree::new(rel, (0..total as u32).collect());
+            t.push_level(AttrId(0));
+            // Level 1: contiguous index ranges sized 4·splits[k].
+            let mut next = 0u32;
+            let mut level1 = Vec::new();
+            for (k, &s) in splits.iter().enumerate() {
+                let size = (4 * s) as u32;
+                let lo = next as f64;
+                let hi = (next + size) as f64;
+                let range = if k + 1 == splits.len() {
+                    NumericRange::closed(lo, total as f64)
+                } else {
+                    NumericRange::half_open(lo, hi)
+                };
+                let id = t.add_child(
+                    NodeId::ROOT,
+                    CategoryLabel::range(AttrId(0), range),
+                    &(next..next + size).collect::<Vec<u32>>(),
+                    probs[k % probs.len()],
+                );
+                level1.push(id);
+                next += size;
+            }
+            t.set_p_showtuples(NodeId::ROOT, probs[splits.len() % probs.len()]);
+            assert!(t.check_invariants().is_ok(), "{:?}", t.check_invariants());
+            // dfs is a permutation with parents first.
+            let order = t.dfs();
+            assert_eq!(order.len(), t.node_count());
+            let mut seen = vec![false; t.node_count()];
+            for id in &order {
+                assert!(!seen[id.index()]);
+                seen[id.index()] = true;
+                if let Some(p) = t.node(*id).parent {
+                    assert!(seen[p.index()], "parent after child");
                 }
             }
-        }
+            // Levels are consistent with level_attr bookkeeping.
+            for &id in &level1 {
+                assert_eq!(t.node(id).level, 1);
+                assert_eq!(t.level_attr(1), Some(AttrId(0)));
+                assert!(t.subcategorizing_attr(id).is_none());
+            }
+            Ok(())
+        });
     }
 
     #[test]

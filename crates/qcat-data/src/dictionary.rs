@@ -69,6 +69,7 @@ impl Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcat_datagen::prop;
 
     #[test]
     fn intern_is_idempotent() {
@@ -108,29 +109,34 @@ mod tests {
         assert!(d.values().is_empty());
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Interning any sequence of strings round-trips: every string
-            /// maps to a code whose stored value equals the string.
-            #[test]
-            fn prop_roundtrip(strings in proptest::collection::vec(".{0,12}", 0..64)) {
-                let mut d = Dictionary::new();
-                let codes: Vec<u32> = strings.iter().map(|s| d.intern(s)).collect();
-                for (s, c) in strings.iter().zip(&codes) {
-                    prop_assert_eq!(d.value_unchecked(*c), s.as_str());
-                    prop_assert_eq!(d.lookup(s), Some(*c));
-                }
-                // Distinct strings get distinct codes.
-                let uniq: std::collections::HashSet<_> = strings.iter().collect();
-                prop_assert_eq!(d.len(), uniq.len());
+    /// Interning any sequence of strings round-trips: every string maps
+    /// to a code whose stored value equals the string.
+    #[test]
+    fn prop_roundtrip() {
+        prop::check("dictionary_roundtrip", 64, 63, |rng, size| {
+            // Short strings of any characters, half from a tiny
+            // alphabet so that repeats are common.
+            let strings = prop::vec(rng, 0, size, |rng| {
+                prop::vec(rng, 0, 12, |rng| {
+                    if rng.gen_bool(0.5) {
+                        ['a', 'b', ' '][rng.gen_range(0..3usize)]
+                    } else {
+                        char::from_u32(rng.gen_range(0..0x11_0000u32)).unwrap_or('\u{fffd}')
+                    }
+                })
+                .into_iter()
+                .collect::<String>()
+            });
+            let mut d = Dictionary::new();
+            let codes: Vec<u32> = strings.iter().map(|s| d.intern(s)).collect();
+            for (s, c) in strings.iter().zip(&codes) {
+                assert_eq!(d.value_unchecked(*c), s.as_str());
+                assert_eq!(d.lookup(s), Some(*c), "{s:?}");
             }
-        }
+            // Distinct strings get distinct codes.
+            let uniq: std::collections::HashSet<_> = strings.iter().collect();
+            assert_eq!(d.len(), uniq.len(), "{strings:?}");
+            Ok(())
+        });
     }
 }

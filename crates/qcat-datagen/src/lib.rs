@@ -22,7 +22,9 @@
 //!   everything is reproducible;
 //! - [`rng`]: the first-party SplitMix64/xoshiro256\*\* generator the
 //!   samplers draw from (no external RNG crate, so the workspace
-//!   builds with no network access).
+//!   builds with no network access);
+//! - [`prop`]: the seeded property-test harness the workspace's
+//!   randomized suites run on.
 
 #![allow(
     clippy::unwrap_used,
@@ -34,6 +36,7 @@
 pub mod distributions;
 pub mod geography;
 pub mod homes;
+pub mod prop;
 pub mod rng;
 pub mod workload;
 

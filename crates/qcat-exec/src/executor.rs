@@ -457,6 +457,31 @@ mod tests {
     }
 
     #[test]
+    fn multi_segment_scans_hold_no_spare_capacity() {
+        let schema = Schema::new(vec![Field::new("price", AttrType::Float)]).unwrap();
+        let mut b = RelationBuilder::with_capacity(schema.clone(), 1000).with_shard_rows(100);
+        for i in 0..1000 {
+            b.push_row(&[f64::from(i).into()]).unwrap();
+        }
+        let relation = b.finish().unwrap();
+        let q = qcat_sql::parse_and_normalize("SELECT * FROM t WHERE price >= 5", &schema).unwrap();
+        for threads in [1, 2] {
+            let opts = ExecOptions {
+                path: AccessPath::ForceScan,
+                threads,
+                donor: None,
+            };
+            let answer = execute(&relation, &q, &opts).unwrap();
+            assert_eq!(answer.len(), 995);
+            assert_eq!(
+                answer.heap_bytes(),
+                995 * std::mem::size_of::<u32>(),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
     fn residual_restores_table_order_and_applies_limit() {
         let catalog = setup();
         let relation = catalog.get("listproperty").unwrap();

@@ -372,7 +372,9 @@ fn morsel_scan(
             }
         })
         .map_err(pool_to_exec)?;
-    let mut rows = Vec::new();
+    // Sized once, so a multi-segment answer holds no growth slack for
+    // the answer cache to charge.
+    let mut rows = Vec::with_capacity(parts.iter().flatten().map(Vec::len).sum());
     for part in parts {
         match part {
             Some(p) => rows.extend_from_slice(&p),

@@ -209,7 +209,7 @@ something = { version = "1", features = ["x"] }
 qcat-core.workspace = true
 
 [features]
-slow-tests = []
+extra-checks = []
 "#;
 
     #[test]

@@ -325,6 +325,7 @@ mod tests {
     use super::*;
     use crate::parse_and_normalize;
     use qcat_data::{AttrType, Field, RelationBuilder, Schema};
+    use qcat_datagen::{prop, Rng};
 
     fn homes() -> Relation {
         let schema = Schema::new(vec![
@@ -433,70 +434,91 @@ mod tests {
         assert!(!p.matches_row(&rel, 1));
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-        use qcat_data::{AttrType, Field, RelationBuilder, Schema};
+    /// A random conjunction over `t(n, v, k)`: one to three of the
+    /// condition shapes the workload uses.
+    fn arb_sql(rng: &mut Rng) -> String {
+        let names = ["a", "b", "c", "d"];
+        let conds = prop::vec(rng, 1, 3, |rng| match rng.gen_range(0..5) {
+            0 => {
+                let list = prop::vec(rng, 1, 2, |rng| {
+                    format!("'{}'", names[rng.gen_range(0..4usize)])
+                });
+                format!("n IN ({})", list.join(","))
+            }
+            1 => {
+                let lo = rng.gen_range(0..100i64);
+                format!("v BETWEEN {lo} AND {}", lo + rng.gen_range(0..100i64))
+            }
+            2 => format!("v >= {}", rng.gen_range(0..100i64)),
+            3 => format!("v < {}", rng.gen_range(0..100i64)),
+            _ => format!("k = {}", rng.gen_range(0..10i64)),
+        });
+        format!("SELECT * FROM t WHERE {}", conds.join(" AND "))
+    }
 
-        fn arb_sql() -> impl Strategy<Value = String> {
-            let cond = prop_oneof![
-                proptest::collection::vec(0usize..4, 1..3).prop_map(|idx| {
-                    let names = ["a", "b", "c", "d"];
-                    let list = idx
-                        .iter()
-                        .map(|&i| format!("'{}'", names[i]))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!("n IN ({list})")
-                }),
-                (0i64..100, 0i64..100)
-                    .prop_map(|(lo, w)| { format!("v BETWEEN {lo} AND {}", lo + w) }),
-                (0i64..100).prop_map(|x| format!("v >= {x}")),
-                (0i64..100).prop_map(|x| format!("v < {x}")),
-                (0i64..10).prop_map(|x| format!("k = {x}")),
-            ];
-            proptest::collection::vec(cond, 1..4)
-                .prop_map(|cs| format!("SELECT * FROM t WHERE {}", cs.join(" AND ")))
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The vectorized filter agrees with a row-at-a-time scan
-            /// for arbitrary relations and conjunctions.
-            #[test]
-            fn prop_filter_matches_bruteforce(
-                rows in proptest::collection::vec((0usize..4, 0i64..100, 0i64..10), 0..80),
-                sql in arb_sql(),
-            ) {
-                let schema = Schema::new(vec![
-                    Field::new("n", AttrType::Categorical),
-                    Field::new("v", AttrType::Float),
-                    Field::new("k", AttrType::Int),
-                ])
-                .unwrap();
-                let names = ["a", "b", "c", "d"];
-                let mut b = RelationBuilder::new(schema.clone());
+    /// The vectorized filter agrees with a row-at-a-time scan for
+    /// arbitrary relations and conjunctions, over every segment layout
+    /// and over candidate lists in table order or grouped child by
+    /// child (the order a cached tree's root slice hands a containment
+    /// donor).
+    #[test]
+    fn prop_filter_matches_bruteforce() {
+        prop::check("filter_matches_bruteforce", 64, 79, |rng, size| {
+            let schema = Schema::new(vec![
+                Field::new("n", AttrType::Categorical),
+                Field::new("v", AttrType::Float),
+                Field::new("k", AttrType::Int),
+            ])
+            .unwrap();
+            let names = ["a", "b", "c", "d"];
+            let rows = prop::vec(rng, 0, size, |rng| {
+                (
+                    rng.gen_range(0..4usize),
+                    rng.gen_range(0..100i64),
+                    rng.gen_range(0..10i64),
+                )
+            });
+            let sql = arb_sql(rng);
+            let q = parse_and_normalize(&sql, &schema).unwrap();
+            // A donor's root slice: rows grouped by one attribute's
+            // values in a random group order, table order within each.
+            let by_name = rng.gen_bool(0.5);
+            let group_rank: Vec<u64> = (0..10).map(|_| rng.next_u64()).collect();
+            let group_of = |r: u32| {
+                let (ni, _, k) = rows[r as usize];
+                group_rank[if by_name { ni } else { k as usize }]
+            };
+            for shard_rows in [0, 1, 3, 7] {
+                let mut b = RelationBuilder::new(schema.clone()).with_shard_rows(shard_rows);
                 for (ni, v, k) in &rows {
                     b.push_row(&[names[*ni].into(), (*v as f64).into(), (*k).into()])
                         .unwrap();
                 }
                 let rel = b.finish().unwrap();
-                let q = parse_and_normalize(&sql, &schema).unwrap();
                 let p = CompiledPredicate::compile(&q, &rel).unwrap();
-                let fast = p.filter(&rel, None);
-                let slow: Vec<u32> = rel
-                    .all_row_ids()
-                    .into_iter()
-                    .filter(|&r| p.matches_row(&rel, r))
-                    .collect();
-                prop_assert_eq!(fast, slow);
+                let matching = |candidates: &[u32]| -> Vec<u32> {
+                    candidates
+                        .iter()
+                        .copied()
+                        .filter(|&r| p.matches_row(&rel, r))
+                        .collect()
+                };
+                let all = rel.all_row_ids();
+                assert_eq!(
+                    p.filter(&rel, None),
+                    matching(&all),
+                    "{sql} shard_rows {shard_rows}"
+                );
+                let mut grouped = all.clone();
+                grouped.sort_by_key(|&r| group_of(r));
+                assert_eq!(
+                    p.filter(&rel, Some(&grouped)),
+                    matching(&grouped),
+                    "{sql} shard_rows {shard_rows} grouped by_name {by_name}"
+                );
             }
-        }
+            Ok(())
+        });
     }
 
     #[test]

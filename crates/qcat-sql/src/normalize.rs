@@ -388,6 +388,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_select;
     use qcat_data::Field;
+    use qcat_datagen::{prop, Rng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -569,42 +570,45 @@ mod tests {
         assert!(!NumericRange::closed(100.0, 200.0).overlaps(&label));
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
+    /// Intersection is sound: a point is in the intersection iff it is
+    /// in both ranges.
+    #[test]
+    fn prop_range_intersection_pointwise() {
+        prop::check("range_intersection_pointwise", 64, 1, |rng, _| {
+            let range = |rng: &mut Rng| {
+                let lo = rng.gen_range(-100.0..100.0);
+                NumericRange {
+                    lo,
+                    lo_inclusive: rng.gen_bool(0.5),
+                    hi: lo + rng.gen_range(0.0..50.0),
+                    hi_inclusive: rng.gen_bool(0.5),
+                }
+            };
+            let (a, b) = (range(rng), range(rng));
+            let probe = rng.gen_range(-150.0..150.0);
+            let i = a.intersect(&b);
+            assert_eq!(
+                i.contains(probe),
+                a.contains(probe) && b.contains(probe),
+                "{a:?} {b:?} {probe}"
+            );
+            Ok(())
+        });
+    }
 
-        proptest! {
-            /// Intersection is sound: a point is in the intersection iff it
-            /// is in both ranges.
-            #[test]
-            fn prop_range_intersection_pointwise(
-                a_lo in -100.0..100.0f64, a_len in 0.0..50.0f64,
-                b_lo in -100.0..100.0f64, b_len in 0.0..50.0f64,
-                probe in -150.0..150.0f64,
-                inc in any::<[bool; 4]>(),
-            ) {
-                let a = NumericRange { lo: a_lo, lo_inclusive: inc[0], hi: a_lo + a_len, hi_inclusive: inc[1] };
-                let b = NumericRange { lo: b_lo, lo_inclusive: inc[2], hi: b_lo + b_len, hi_inclusive: inc[3] };
-                let i = a.intersect(&b);
-                prop_assert_eq!(i.contains(probe), a.contains(probe) && b.contains(probe));
-            }
-
-            /// Overlap is symmetric and consistent with emptiness of the
-            /// intersection.
-            #[test]
-            fn prop_overlap_symmetric(
-                a_lo in -100.0..100.0f64, a_len in 0.0..50.0f64,
-                b_lo in -100.0..100.0f64, b_len in 0.0..50.0f64,
-            ) {
-                let a = NumericRange::closed(a_lo, a_lo + a_len);
-                let b = NumericRange::closed(b_lo, b_lo + b_len);
-                prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
-                prop_assert_eq!(a.overlaps(&b), !a.intersect(&b).is_empty());
-            }
-        }
+    /// Overlap is symmetric and consistent with emptiness of the
+    /// intersection.
+    #[test]
+    fn prop_overlap_symmetric() {
+        prop::check("overlap_symmetric", 64, 1, |rng, _| {
+            let range = |rng: &mut Rng| {
+                let lo = rng.gen_range(-100.0..100.0);
+                NumericRange::closed(lo, lo + rng.gen_range(0.0..50.0))
+            };
+            let (a, b) = (range(rng), range(rng));
+            assert_eq!(a.overlaps(&b), b.overlaps(&a), "{a:?} {b:?}");
+            assert_eq!(a.overlaps(&b), !a.intersect(&b).is_empty(), "{a:?} {b:?}");
+            Ok(())
+        });
     }
 }

@@ -241,6 +241,7 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::token::CompareOp;
+    use qcat_datagen::{prop, Rng};
 
     #[test]
     fn parses_the_homes_query() {
@@ -354,115 +355,132 @@ mod tests {
         assert!(parse_select("SELECT * FROM where").is_err());
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
+    // --- display/parse round-trip property ---------------------------------
 
-        // --- display/parse round-trip property ---------------------------------
+    /// A string of `min..=max` characters drawn from `alphabet`.
+    fn arb_string(rng: &mut Rng, alphabet: &str, min: usize, max: usize) -> String {
+        let chars: Vec<char> = alphabet.chars().collect();
+        prop::vec(rng, min, max, |rng| chars[rng.gen_range(0..chars.len())])
+            .into_iter()
+            .collect()
+    }
 
-        fn arb_literal() -> impl Strategy<Value = Literal> {
-            prop_oneof![
-                any::<i32>().prop_map(|i| Literal::Int(i as i64)),
-                (-1.0e6..1.0e6f64).prop_map(Literal::Float),
-                "[a-zA-Z '][a-zA-Z0-9 ']{0,10}".prop_map(Literal::Str),
-            ]
+    /// Any character but a newline, most of them ASCII (`.` of a regex).
+    fn arb_char(rng: &mut Rng) -> char {
+        loop {
+            let c = if rng.gen_bool(0.75) {
+                char::from(rng.gen_range(0..128u32) as u8)
+            } else {
+                char::from_u32(rng.gen_range(128..0x11_0000u32)).unwrap_or('\u{fffd}')
+            };
+            if c != '\n' {
+                return c;
+            }
         }
+    }
 
-        fn arb_attr() -> impl Strategy<Value = String> {
-            "[a-z][a-z0-9_]{0,8}".prop_filter("not a keyword", |s| {
-                crate::token::Keyword::from_ident(s).is_none()
-            })
+    fn arb_literal(rng: &mut Rng) -> Literal {
+        match rng.gen_range(0..3) {
+            0 => Literal::Int(rng.gen_range(i32::MIN as i64..=i32::MAX as i64)),
+            1 => Literal::Float(rng.gen_range(-1.0e6..1.0e6)),
+            _ => {
+                let letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+                let head = arb_string(rng, &format!("{letters} '"), 1, 1);
+                Literal::Str(head + &arb_string(rng, &format!("{letters}0123456789 '"), 0, 10))
+            }
         }
+    }
 
-        fn arb_condition() -> impl Strategy<Value = Expr> {
-            prop_oneof![
-                (arb_attr(), arb_literal()).prop_map(|(attr, literal)| Expr::Compare {
-                    attr,
-                    op: CompareOp::Le,
-                    literal
-                }),
-                (arb_attr(), proptest::collection::vec(arb_literal(), 1..4))
-                    .prop_map(|(attr, list)| Expr::InList { attr, list }),
-                (arb_attr(), arb_literal(), arb_literal())
-                    .prop_map(|(attr, lo, hi)| { Expr::Between { attr, lo, hi } }),
-            ]
+    fn arb_attr(rng: &mut Rng) -> String {
+        loop {
+            let head = arb_string(rng, "abcdefghijklmnopqrstuvwxyz", 1, 1);
+            let attr = head + &arb_string(rng, "abcdefghijklmnopqrstuvwxyz0123456789_", 0, 8);
+            if crate::token::Keyword::from_ident(&attr).is_none() {
+                return attr;
+            }
         }
+    }
 
-        proptest! {
-            /// Fuzz: the front-end never panics on arbitrary input — it
-            /// parses or returns a positioned error.
-            #[test]
-            fn prop_parser_total_on_garbage(input in ".{0,160}") {
-                match parse_select(&input) {
-                    Ok(q) => {
-                        // Anything that parses must re-render and re-parse.
-                        let again = parse_select(&q.to_string()).unwrap();
-                        prop_assert_eq!(again, q);
-                    }
-                    Err(e) => prop_assert!(e.position <= input.len()),
+    fn arb_condition(rng: &mut Rng) -> Expr {
+        match rng.gen_range(0..3) {
+            0 => Expr::Compare {
+                attr: arb_attr(rng),
+                op: CompareOp::Le,
+                literal: arb_literal(rng),
+            },
+            1 => Expr::InList {
+                attr: arb_attr(rng),
+                list: prop::vec(rng, 1, 3, arb_literal),
+            },
+            _ => Expr::Between {
+                attr: arb_attr(rng),
+                lo: arb_literal(rng),
+                hi: arb_literal(rng),
+            },
+        }
+    }
+
+    /// Fuzz: the front-end never panics on arbitrary input — it parses
+    /// or returns a positioned error.
+    #[test]
+    fn prop_parser_total_on_garbage() {
+        prop::check("parser_total_on_garbage", 64, 160, |rng, size| {
+            let input: String = prop::vec(rng, 0, size, arb_char).into_iter().collect();
+            match parse_select(&input) {
+                Ok(q) => {
+                    // Anything that parses must re-render and re-parse.
+                    let again = parse_select(&q.to_string()).unwrap();
+                    assert_eq!(again, q, "{input:?}");
                 }
+                Err(e) => assert!(e.position <= input.len(), "{input:?}: {e}"),
             }
+            Ok(())
+        });
+    }
 
-            /// Fuzz with SQL-shaped fragments for deeper grammar coverage.
-            #[test]
-            fn prop_parser_total_on_sqlish(
-                pieces in proptest::collection::vec(
-                    prop_oneof![
-                        Just("SELECT".to_string()),
-                        Just("FROM".to_string()),
-                        Just("WHERE".to_string()),
-                        Just("AND".to_string()),
-                        Just("IN".to_string()),
-                        Just("BETWEEN".to_string()),
-                        Just("*".to_string()),
-                        Just("(".to_string()),
-                        Just(")".to_string()),
-                        Just(",".to_string()),
-                        Just("<=".to_string()),
-                        Just("'x'".to_string()),
-                        Just("42".to_string()),
-                        Just("2.5".to_string()),
-                        Just("price".to_string()),
-                        Just("t".to_string()),
-                    ],
-                    0..24,
-                )
-            ) {
-                let input = pieces.join(" ");
-                let _ = parse_select(&input); // must not panic
-            }
+    /// Fuzz with SQL-shaped fragments for deeper grammar coverage.
+    #[test]
+    fn prop_parser_total_on_sqlish() {
+        let fragments = [
+            "SELECT", "FROM", "WHERE", "AND", "IN", "BETWEEN", "*", "(", ")", ",", "<=", "'x'",
+            "42", "2.5", "price", "t",
+        ];
+        prop::check("parser_total_on_sqlish", 64, 23, |rng, size| {
+            let pieces = prop::vec(rng, 0, size, |rng| {
+                fragments[rng.gen_range(0..fragments.len())]
+            });
+            let _ = parse_select(&pieces.join(" ")); // must not panic
+            Ok(())
+        });
+    }
 
-            /// Rendering any query to SQL and re-parsing yields the same AST.
-            #[test]
-            fn prop_display_parse_roundtrip(
-                table in arb_attr(),
-                conds in proptest::collection::vec(arb_condition(), 0..5),
-                order_attrs in proptest::collection::vec((arb_attr(), any::<bool>()), 0..3),
-                limit in proptest::option::of(0u64..1000),
-            ) {
-                let predicate = match conds.len() {
-                    0 => None,
-                    1 => Some(conds[0].clone()),
-                    _ => Some(Expr::And(conds)),
-                };
-                let q = SelectQuery {
-                    projection: Projection::Star,
-                    table,
-                    predicate,
-                    order_by: order_attrs
-                        .into_iter()
-                        .map(|(attr, descending)| crate::ast::OrderItem { attr, descending })
-                        .collect(),
-                    limit,
-                };
-                let sql = q.to_string();
-                let back = parse_select(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-                prop_assert_eq!(back, q);
-            }
-        }
+    /// Rendering any query to SQL and re-parsing yields the same AST.
+    #[test]
+    fn prop_display_parse_roundtrip() {
+        prop::check("display_parse_roundtrip", 64, 4, |rng, size| {
+            let table = arb_attr(rng);
+            let mut conds = prop::vec(rng, 0, size, arb_condition);
+            let order_by = prop::vec(rng, 0, size.min(2), |rng| crate::ast::OrderItem {
+                attr: arb_attr(rng),
+                descending: rng.gen_bool(0.5),
+            });
+            let limit = rng.gen_bool(0.5).then(|| rng.gen_range(0..1000u64));
+            let predicate = match conds.len() {
+                0 => None,
+                1 => conds.pop(),
+                _ => Some(Expr::And(conds)),
+            };
+            let q = SelectQuery {
+                projection: Projection::Star,
+                table,
+                predicate,
+                order_by,
+                limit,
+            };
+            let sql = q.to_string();
+            let back = parse_select(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(back, q, "{sql}");
+            Ok(())
+        });
     }
 }

@@ -53,6 +53,7 @@ pub fn origin_slope(xs: &[f64], ys: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcat_datagen::prop;
 
     #[test]
     fn mean_basic() {
@@ -93,43 +94,39 @@ mod tests {
         assert_eq!(origin_slope(&[0.0, 0.0], &[1.0, 2.0]), None);
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// |r| ≤ 1 and r is symmetric in its arguments.
-            #[test]
-            fn prop_pearson_bounded_and_symmetric(
-                pairs in proptest::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 2..50)
-            ) {
-                let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-                let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-                if let Some(r) = pearson(&xs, &ys) {
-                    prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
-                    let r2 = pearson(&ys, &xs).unwrap();
-                    prop_assert!((r - r2).abs() < 1e-9);
-                }
+    /// |r| ≤ 1 and r is symmetric in its arguments.
+    #[test]
+    fn prop_pearson_bounded_and_symmetric() {
+        prop::check("pearson_bounded_and_symmetric", 64, 49, |rng, size| {
+            let pairs = prop::vec(rng, 2, size, |rng| {
+                (rng.gen_range(-100.0..100.0), rng.gen_range(-100.0..100.0))
+            });
+            let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+            let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+            if let Some(r) = pearson(&xs, &ys) {
+                assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r = {r}");
+                let r2 = pearson(&ys, &xs).unwrap();
+                assert!((r - r2).abs() < 1e-9, "{r} vs {r2}");
             }
+            Ok(())
+        });
+    }
 
-            /// Correlation is invariant under positive affine transforms.
-            #[test]
-            fn prop_pearson_affine_invariant(
-                pairs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64), 3..30),
-                a in 0.1..10.0f64,
-                b in -5.0..5.0f64,
-            ) {
-                let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-                let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-                let xs2: Vec<f64> = xs.iter().map(|x| a * x + b).collect();
-                if let (Some(r1), Some(r2)) = (pearson(&xs, &ys), pearson(&xs2, &ys)) {
-                    prop_assert!((r1 - r2).abs() < 1e-6);
-                }
+    /// Correlation is invariant under positive affine transforms.
+    #[test]
+    fn prop_pearson_affine_invariant() {
+        prop::check("pearson_affine_invariant", 64, 29, |rng, size| {
+            let pairs = prop::vec(rng, 3, size, |rng| {
+                (rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0))
+            });
+            let (a, b) = (rng.gen_range(0.1..10.0), rng.gen_range(-5.0..5.0));
+            let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+            let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+            let xs2: Vec<f64> = xs.iter().map(|x| a * x + b).collect();
+            if let (Some(r1), Some(r2)) = (pearson(&xs, &ys), pearson(&xs2, &ys)) {
+                assert!((r1 - r2).abs() < 1e-6, "{r1} vs {r2} at a = {a}, b = {b}");
             }
-        }
+            Ok(())
+        });
     }
 }

@@ -83,6 +83,7 @@ pub fn nice_step(raw: f64) -> f64 {
 mod tests {
     use super::*;
     use qcat_data::{AttrType, Field, RelationBuilder, Schema};
+    use qcat_datagen::prop;
 
     #[test]
     fn nice_steps() {
@@ -124,28 +125,21 @@ mod tests {
         assert_eq!(cfg.interval(AttrId(1)), Some(5000.0));
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// nice_step always returns a step in [raw, 10*raw] of the
-            /// form {1,2,5}*10^k.
-            #[test]
-            fn prop_nice_step_bounds(raw in 1e-6..1e12f64) {
-                let s = nice_step(raw);
-                prop_assert!(s >= raw * 0.999_999);
-                prop_assert!(s <= raw * 10.000_001);
-                let mant = s / 10f64.powf(s.log10().floor());
-                let ok = [1.0, 2.0, 5.0, 10.0]
-                    .iter()
-                    .any(|m| (mant - m).abs() < 1e-9);
-                prop_assert!(ok, "mantissa {mant}");
-            }
-        }
+    /// nice_step always returns a step in [raw, 10*raw] of the form
+    /// {1,2,5}*10^k.
+    #[test]
+    fn prop_nice_step_bounds() {
+        prop::check("nice_step_bounds", 64, 1, |rng, _| {
+            let raw = rng.gen_range(1e-6..1e12);
+            let s = nice_step(raw);
+            assert!(s >= raw * 0.999_999, "{raw} -> {s}");
+            assert!(s <= raw * 10.000_001, "{raw} -> {s}");
+            let mant = s / 10f64.powf(s.log10().floor());
+            let ok = [1.0, 2.0, 5.0, 10.0]
+                .iter()
+                .any(|m| (mant - m).abs() < 1e-9);
+            assert!(ok, "mantissa {mant} of {s}");
+            Ok(())
+        });
     }
 }

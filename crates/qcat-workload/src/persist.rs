@@ -331,6 +331,7 @@ mod tests {
     use crate::config::PreprocessConfig;
     use crate::log::WorkloadLog;
     use qcat_data::Field;
+    use qcat_datagen::{prop, Rng};
     use qcat_sql::NumericRange;
 
     fn schema() -> Schema {
@@ -460,68 +461,66 @@ mod tests {
         }
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn arb_workload() -> impl Strategy<Value = Vec<String>> {
-            proptest::collection::vec(
-                prop_oneof![
-                    "[a-z %]{1,10}".prop_map(|v| format!(
-                        "SELECT * FROM t WHERE neighborhood IN ('{}')",
-                        v.replace('\'', "")
-                    )),
-                    (0u32..200, 1u32..50).prop_map(|(lo, w)| format!(
-                        "SELECT * FROM t WHERE price BETWEEN {} AND {}",
-                        lo * 1000,
-                        (lo + w) * 1000
-                    )),
-                    (1i64..9).prop_map(|b| format!("SELECT * FROM t WHERE beds >= {b}")),
-                ],
-                0..40,
-            )
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            /// Save → load reproduces every probe a categorizer would
-            /// make, for arbitrary workloads (including empty ones and
-            /// values with spaces / percent signs).
-            #[test]
-            fn prop_roundtrip(workload in arb_workload(), probe_lo in 0u32..250) {
-                let s = schema();
-                let log = WorkloadLog::parse(workload.iter().map(String::as_str), &s, None);
-                let cfg = PreprocessConfig::new()
-                    .with_interval(AttrId(1), 5_000.0)
-                    .with_interval(AttrId(2), 1.0);
-                let original = WorkloadStatistics::build(&log, &s, &cfg);
-                let mut buf = Vec::new();
-                save_statistics(&original, &mut buf).unwrap();
-                let loaded = load_statistics(buf.as_slice(), &s).unwrap();
-                prop_assert_eq!(loaded.n_queries(), original.n_queries());
-                for a in s.attr_ids() {
-                    prop_assert_eq!(loaded.n_attr(a), original.n_attr(a));
-                }
-                let lo = probe_lo as f64 * 1_000.0;
-                let label = NumericRange::half_open(lo, lo + 30_000.0);
-                prop_assert_eq!(
-                    loaded.n_overlap_range(AttrId(1), &label),
-                    original.n_overlap_range(AttrId(1), &label)
-                );
-                let a = original.splitpoints_by_goodness(AttrId(1), 0.0, 3e5);
-                let b = loaded.splitpoints_by_goodness(AttrId(1), 0.0, 3e5);
-                prop_assert_eq!(a, b);
-                // Occurrence probes for every value actually present.
-                for (v, c) in original.values_by_occurrence(AttrId(0)) {
-                    prop_assert_eq!(loaded.occ(AttrId(0), v), c);
-                }
+    /// Up to `size` queries over the test schema: neighborhoods with
+    /// spaces and percent signs, price ranges and bedroom floors.
+    fn arb_workload(rng: &mut Rng, size: usize) -> Vec<String> {
+        let letters: Vec<char> = "abcdefghijklmnopqrstuvwxyz %".chars().collect();
+        prop::vec(rng, 0, size, |rng| match rng.gen_range(0..3) {
+            0 => {
+                let v: String =
+                    prop::vec(rng, 1, 10, |rng| letters[rng.gen_range(0..letters.len())])
+                        .into_iter()
+                        .collect();
+                format!("SELECT * FROM t WHERE neighborhood IN ('{v}')")
             }
-        }
+            1 => {
+                let (lo, w) = (rng.gen_range(0..200u32), rng.gen_range(1..50u32));
+                format!(
+                    "SELECT * FROM t WHERE price BETWEEN {} AND {}",
+                    lo * 1000,
+                    (lo + w) * 1000
+                )
+            }
+            _ => format!("SELECT * FROM t WHERE beds >= {}", rng.gen_range(1..9i64)),
+        })
+    }
+
+    /// Save → load reproduces every probe a categorizer would make,
+    /// for arbitrary workloads (including empty ones and values with
+    /// spaces / percent signs).
+    #[test]
+    fn prop_roundtrip() {
+        prop::check("persist_roundtrip", 32, 39, |rng, size| {
+            let workload = arb_workload(rng, size);
+            let probe_lo = rng.gen_range(0..250u32);
+            let s = schema();
+            let log = WorkloadLog::parse(workload.iter().map(String::as_str), &s, None);
+            let cfg = PreprocessConfig::new()
+                .with_interval(AttrId(1), 5_000.0)
+                .with_interval(AttrId(2), 1.0);
+            let original = WorkloadStatistics::build(&log, &s, &cfg);
+            let mut buf = Vec::new();
+            save_statistics(&original, &mut buf).unwrap();
+            let loaded = load_statistics(buf.as_slice(), &s).unwrap();
+            assert_eq!(loaded.n_queries(), original.n_queries());
+            for a in s.attr_ids() {
+                assert_eq!(loaded.n_attr(a), original.n_attr(a), "{a:?}");
+            }
+            let lo = probe_lo as f64 * 1_000.0;
+            let label = NumericRange::half_open(lo, lo + 30_000.0);
+            assert_eq!(
+                loaded.n_overlap_range(AttrId(1), &label),
+                original.n_overlap_range(AttrId(1), &label)
+            );
+            let a = original.splitpoints_by_goodness(AttrId(1), 0.0, 3e5);
+            let b = loaded.splitpoints_by_goodness(AttrId(1), 0.0, 3e5);
+            assert_eq!(a, b);
+            // Occurrence probes for every value actually present.
+            for (v, c) in original.values_by_occurrence(AttrId(0)) {
+                assert_eq!(loaded.occ(AttrId(0), v), c, "{v}");
+            }
+            Ok(())
+        });
     }
 
     #[test]

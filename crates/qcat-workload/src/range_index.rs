@@ -184,6 +184,7 @@ impl RangeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcat_datagen::{prop, Rng};
 
     fn closed(lo: f64, hi: f64) -> NumericRange {
         NumericRange::closed(lo, hi)
@@ -253,48 +254,36 @@ mod tests {
         assert!(!idx.is_empty());
     }
 
-    // Property-based tests live behind the off-by-default `slow-tests`
-    // feature: the `proptest` dev-dependency is not vendored, so the
-    // default (hermetic) build must not resolve it. See docs/LINTS.md.
-    #[cfg(feature = "slow-tests")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The index agrees with brute-force overlap counting for
-            /// arbitrary closed/open ranges and labels.
-            #[test]
-            fn prop_matches_bruteforce(
-                ranges in proptest::collection::vec(
-                    (-50i32..50, 0i32..40, any::<bool>(), any::<bool>()), 0..40),
-                label_lo in -60i32..60,
-                label_len in 0i32..40,
-                label_inc in any::<[bool; 2]>(),
-            ) {
-                let ranges: Vec<NumericRange> = ranges
-                    .into_iter()
-                    .map(|(lo, len, li, hi_inc)| NumericRange {
-                        lo: lo as f64,
-                        lo_inclusive: li,
-                        hi: (lo + len) as f64,
-                        hi_inclusive: hi_inc,
-                    })
-                    .filter(|r| !r.is_empty())
-                    .collect();
-                let label = NumericRange {
-                    lo: label_lo as f64,
-                    lo_inclusive: label_inc[0],
-                    hi: (label_lo + label_len) as f64,
-                    hi_inclusive: label_inc[1],
-                };
-                let mut idx = RangeIndex::new();
-                for r in &ranges {
-                    idx.record(r);
+    /// The index agrees with brute-force overlap counting for arbitrary
+    /// closed/open ranges and labels.
+    #[test]
+    fn prop_matches_bruteforce() {
+        prop::check("range_index_matches_bruteforce", 64, 39, |rng, size| {
+            let range = |rng: &mut Rng, lo: std::ops::Range<i32>| {
+                let lo = rng.gen_range(lo);
+                NumericRange {
+                    lo: lo as f64,
+                    lo_inclusive: rng.gen_bool(0.5),
+                    hi: (lo + rng.gen_range(0..40i32)) as f64,
+                    hi_inclusive: rng.gen_bool(0.5),
                 }
-                let expected = ranges.iter().filter(|r| r.overlaps(&label)).count();
-                prop_assert_eq!(idx.count_overlapping(&label), expected);
+            };
+            let ranges: Vec<NumericRange> = prop::vec(rng, 0, size, |rng| range(rng, -50..50))
+                .into_iter()
+                .filter(|r| !r.is_empty())
+                .collect();
+            let label = range(rng, -60..60);
+            let mut idx = RangeIndex::new();
+            for r in &ranges {
+                idx.record(r);
             }
-        }
+            let expected = ranges.iter().filter(|r| r.overlaps(&label)).count();
+            assert_eq!(
+                idx.count_overlapping(&label),
+                expected,
+                "{label:?} over {ranges:?}"
+            );
+            Ok(())
+        });
     }
 }
